@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -66,12 +67,13 @@ BM_TagStoreProbe(benchmark::State &state)
 BENCHMARK(BM_TagStoreProbe);
 
 /** Direct-mapped probe: the Alloy/BEAR fast path (one way, one set
- *  bitmask load). */
+ *  bitmask load), on the 32-bit tag plane the Alloy bound selects. */
 void
 BM_TagStoreProbeDirectMapped(benchmark::State &state)
 {
     constexpr std::uint64_t kSets = 1 << 18;
-    TagStore store(TagStoreConfig{kSets, 1, TagRepl::None, 1, 0});
+    TagStore store(TagStoreConfig{kSets, 1, TagRepl::None, 1, 0,
+                                  maxTagBelow(kPhysLineLimit, kSets)});
     Rng rng(8);
     for (std::uint64_t set = 0; set < kSets; ++set)
         store.install(set, 0, rng.below(1 << 20));
@@ -237,15 +239,41 @@ BM_WorkloadStreamNext(benchmark::State &state)
 }
 BENCHMARK(BM_WorkloadStreamNext);
 
+/**
+ * Translation as a run sees it: the virtual addresses of a pinned-fig12
+ * mcf job (8 cores at scale 1/16, perfbench's stream seeds, 50k
+ * references per core, cores interleaved round-robin), replayed after
+ * one untimed pass, so nearly every call hits an existing mapping.
+ */
 void
 BM_PageMapperTranslate(benchmark::State &state)
 {
+    constexpr std::uint32_t kCores = 8;
+    constexpr std::uint64_t kRefsPerCore = 50000;
+    struct Access
+    {
+        std::uint32_t process;
+        Addr vaddr;
+    };
+    std::vector<std::unique_ptr<WorkloadStream>> streams;
+    for (std::uint32_t c = 0; c < kCores; ++c) {
+        streams.push_back(std::make_unique<WorkloadStream>(
+            profileByName("mcf"), 0x5EED + 0x1000 * (c + 1), 0.0625));
+    }
+    std::vector<Access> accesses;
+    accesses.reserve(kCores * kRefsPerCore);
+    for (std::uint64_t i = 0; i < kRefsPerCore; ++i) {
+        for (std::uint32_t c = 0; c < kCores; ++c)
+            accesses.push_back({c, streams[c]->next().vaddr});
+    }
     PageMapper mapper;
-    Rng rng(6);
+    for (const Access &a : accesses)
+        benchmark::DoNotOptimize(mapper.translate(a.process, a.vaddr));
+    std::size_t i = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            mapper.translate(static_cast<std::uint32_t>(rng.below(8)),
-                             rng.below(1ULL << 30)));
+        const Access &a = accesses[i];
+        benchmark::DoNotOptimize(mapper.translate(a.process, a.vaddr));
+        i = i + 1 == accesses.size() ? 0 : i + 1;
     }
 }
 BENCHMARK(BM_PageMapperTranslate);

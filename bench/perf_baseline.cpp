@@ -13,7 +13,7 @@
  *
  * The emitted document is re-parsed with common/json before the
  * process exits 0, so a malformed snapshot can never land silently —
- * tools/ci.sh step 9 relies on that contract.
+ * tools/ci.sh step 10 relies on that contract.
  */
 
 #include <cstdio>

@@ -37,7 +37,7 @@ replOf(ReplacementKind kind)
 SramCache::SramCache(const SramCacheConfig &config)
     : config_(config), sets_(setsOf(config)),
       tags_(TagStoreConfig{sets_, config.ways, replOf(config.replacement),
-                           1, 0})
+                           1, 0, maxTagBelow(kPhysLineLimit, sets_)})
 {
 }
 

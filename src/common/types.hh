@@ -42,6 +42,22 @@ constexpr std::uint64_t kLineShift = 6;
 constexpr std::uint64_t kPageSize = 4096;
 constexpr std::uint64_t kPageShift = 12;
 
+/**
+ * Every physical line address lies below this limit; PageMapper
+ * (vm/page_mapper.hh) guarantees it.  A physical page is a 32-bit
+ * scrambled chunk number followed by 3 bits of page-in-chunk (8 pages
+ * per chunk), and a 4 KB page holds 64 lines, so a line address has at
+ * most 32 + 3 + 12 - 6 = 41 bits.  Tag-array owners derive their
+ * largest tag from it, which lets the L4 tag planes use 32-bit words
+ * (DESIGN.md §14).
+ */
+constexpr std::uint64_t kPhysChunkBits = 32;
+constexpr std::uint64_t kPagesPerChunkShift = 3;
+constexpr std::uint64_t kPhysLineLimit =
+    1ULL << (kPhysChunkBits + kPagesPerChunkShift + kPageShift
+             - kLineShift);
+static_assert(kPhysLineLimit == 1ULL << 41);
+
 /** Alloy Cache Tag-And-Data entry: 8 B tag + 64 B data (paper Sec 6.1). */
 constexpr Bytes kTadSize{72};
 

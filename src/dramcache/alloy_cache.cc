@@ -10,7 +10,8 @@ AlloyCache::AlloyCache(const AlloyConfig &config, DramSystem &dram,
     : DramCache(dram, memory, bloat), config_(config),
       sets_(Bytes{config.capacityBytes} / kLineSize),
       layout_(sets_, dram.geometry()),
-      tags_(TagStoreConfig{sets_, 1, TagRepl::None, 1, 0}),
+      tags_(TagStoreConfig{sets_, 1, TagRepl::None, 1, 0,
+                           maxTagBelow(kPhysLineLimit, sets_)}),
       fill_rng_(config.seed)
 {
     if (config_.inclusive) {

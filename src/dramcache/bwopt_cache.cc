@@ -10,7 +10,8 @@ BwOptCache::BwOptCache(std::uint64_t capacity_bytes, DramSystem &dram,
     : DramCache(dram, memory, bloat),
       sets_(Bytes{capacity_bytes} / kLineSize),
       layout_(sets_, dram.geometry()),
-      tags_(TagStoreConfig{sets_, 1, TagRepl::None, 1, 0})
+      tags_(TagStoreConfig{sets_, 1, TagRepl::None, 1, 0,
+                           maxTagBelow(kPhysLineLimit, sets_)})
 {
 }
 

@@ -10,7 +10,8 @@ LohHillCache::LohHillCache(const LohHillConfig &config, DramSystem &dram,
     : DramCache(dram, memory, bloat), config_(config),
       // One 2 KB row per set: 3 tag lines + 29 data lines.
       sets_(Bytes{config.capacityBytes} / dram.geometry().rowBytes),
-      tags_(TagStoreConfig{sets_, kWays, TagRepl::Lru, 1, 0})
+      tags_(TagStoreConfig{sets_, kWays, TagRepl::Lru, 1, 0,
+                           maxTagBelow(kPhysLineLimit, sets_)})
 {
 }
 

@@ -17,7 +17,9 @@ SectorCache::SectorCache(const SectorCacheConfig &config,
                          BloatTracker &bloat)
     : DramCache(dram, memory, bloat), config_(config),
       sets_(Bytes{config.capacityBytes} / kSectorBytes / kWays),
-      tags_(TagStoreConfig{sets_, kWays, TagRepl::Lru, 1, 2})
+      tags_(TagStoreConfig{
+          sets_, kWays, TagRepl::Lru, 1, 2,
+          maxTagBelow(kPhysLineLimit / kBlocksPerSector, sets_)})
 {
     // The per-block bitmaps ride in the store's 64-bit metadata
     // planes, so a sector must hold exactly one machine word of

@@ -9,8 +9,13 @@
  * bytes.  TagStore packs the same state into cache-line-aligned
  * planes:
  *
- *  - `tags_`  — one 64-bit tag per (set, way), row-major, so probing a
- *    set scans one contiguous run of at most 8 cache lines;
+ *  - the tag plane — one tag per (set, way), row-major, so probing a
+ *    set scans one contiguous run of at most 8 cache lines.  Its words
+ *    are 32 bits wide when the owner's largest tag (`maxTag`) fits in
+ *    32 bits, else 64: the L4 owners bound their tags from
+ *    kPhysLineLimit (common/types.hh), so the largest plane in the
+ *    simulator (Alloy's, 16.8M sets at 1 GB) takes half the memory.
+ *    `install()` checks every tag against `maxTag` in all builds;
  *  - `valid_` / `dirty_` / `flag_` — per-set way bitmasks (bit w =
  *    way w), packed `64 / bit_ceil(ways)` sets per 64-bit word so the
  *    mask planes stay dense at every associativity (a direct-mapped
@@ -129,7 +134,20 @@ struct TagStoreConfig
     TagRepl repl = TagRepl::None;
     std::uint64_t replSeed = 1; ///< TagRepl::Random only
     std::uint32_t metaPlanes = 0; ///< per-entry u64 payload planes
+    /** The largest tag the owner can install; at most 2^32-1 selects
+     *  the 32-bit tag plane.  See maxTagBelow(). */
+    std::uint64_t maxTag = ~0ULL;
 };
+
+/**
+ * The largest tag `key / sets` takes over every key below @p key_limit:
+ * the `maxTag` of a store indexed `set = key % sets`, `tag = key / sets`.
+ */
+constexpr std::uint64_t
+maxTagBelow(std::uint64_t key_limit, std::uint64_t sets)
+{
+    return (key_limit - 1) / sets;
+}
 
 /** Result of a set probe. */
 struct TagProbe
@@ -153,6 +171,8 @@ class TagStore
                         ? ~0ULL
                         : (1ULL << config.ways) - 1),
           repl_(config.repl), meta_planes_(config.metaPlanes),
+          max_tag_(config.maxTag),
+          narrow_(config.maxTag <= ~std::uint32_t{0}),
           rng_(config.replSeed)
     {
         bear_assert(sets_ > 0, "TagStore needs at least one set");
@@ -171,7 +191,10 @@ class TagStore
         spw_mask_ = (1ULL << spw_shift_) - 1;
         const std::uint64_t mask_words =
             (sets_ >> spw_shift_) + ((sets_ & spw_mask_) ? 1 : 0);
-        tags_.reset(sets_ * ways_, 0);
+        if (narrow_)
+            narrow_tags_.reset(sets_ * ways_, 0);
+        else
+            wide_tags_.reset(sets_ * ways_, 0);
         valid_.reset(mask_words, 0);
         dirty_.reset(mask_words, 0);
         flag_.reset(mask_words, 0);
@@ -186,6 +209,9 @@ class TagStore
     std::uint64_t sets() const { return sets_; }
     std::uint32_t ways() const { return ways_; }
 
+    /** Width of a tag-plane word: 32 or 64 bits, fixed by maxTag. */
+    std::uint32_t tagBits() const { return narrow_ ? 32 : 64; }
+
     /**
      * Branch-lean associative lookup: compare every way's tag, fold
      * the comparisons into a match mask, AND out invalid ways, and
@@ -195,10 +221,8 @@ class TagStore
     TagProbe
     probe(std::uint64_t set, std::uint64_t tag) const
     {
-        const std::uint64_t *row = &tags_[set * ways_];
-        std::uint64_t match = 0;
-        for (std::uint32_t w = 0; w < ways_; ++w)
-            match |= static_cast<std::uint64_t>(row[w] == tag) << w;
+        std::uint64_t match = narrow_ ? matchRow(narrow_tags_, set, tag)
+                                      : matchRow(wide_tags_, set, tag);
         match &= maskOf(valid_, set);
         TagProbe result;
         result.hit = match != 0;
@@ -257,13 +281,21 @@ class TagStore
      * Write @p tag into (set, way) and mark it valid.  Dirty is seeded
      * from @p dirty; the flag bit and metadata planes reset to zero.
      * Replacement state is NOT touched — callers that promoted on fill
-     * before the port keep calling touch() themselves.
+     * before the port keep calling touch() themselves.  A tag above
+     * maxTag() panics in every build: the 32-bit plane would truncate
+     * it.
      */
     void
     install(std::uint64_t set, std::uint32_t way, std::uint64_t tag,
             bool dirty = false)
     {
-        tags_[set * ways_ + way] = tag;
+        bear_assert(tag <= max_tag_, "TagStore: tag ", tag,
+                    " is above its owner's bound maxTag = ", max_tag_);
+        if (narrow_)
+            narrow_tags_[set * ways_ + way] =
+                static_cast<std::uint32_t>(tag);
+        else
+            wide_tags_[set * ways_ + way] = tag;
         setBit(valid_, set, way, true);
         setBit(dirty_, set, way, dirty);
         setBit(flag_, set, way, false);
@@ -323,7 +355,8 @@ class TagStore
     std::uint64_t
     tagAt(std::uint64_t set, std::uint32_t way) const
     {
-        return tags_[set * ways_ + way];
+        return narrow_ ? narrow_tags_[set * ways_ + way]
+                       : wide_tags_[set * ways_ + way];
     }
 
     bool
@@ -379,11 +412,35 @@ class TagStore
     }
 
     /** Plane base addresses, for the alignment checks in tests. */
-    const std::uint64_t *tagPlane() const { return tags_.data(); }
+    const void *
+    tagPlane() const
+    {
+        return narrow_ ? static_cast<const void *>(narrow_tags_.data())
+                       : static_cast<const void *>(wide_tags_.data());
+    }
     const std::uint64_t *validPlane() const { return valid_.data(); }
     const std::uint64_t *dirtyPlane() const { return dirty_.data(); }
 
   private:
+    /** Match mask of @p set's ways whose tag equals @p tag. */
+    template <typename Word>
+    std::uint64_t
+    matchRow(const AlignedPlane<Word> &plane, std::uint64_t set,
+             std::uint64_t tag) const
+    {
+        if constexpr (sizeof(Word) < sizeof(std::uint64_t)) {
+            // A tag the words cannot hold was never installed.
+            if (tag > ~Word{0})
+                return 0;
+        }
+        const Word key = static_cast<Word>(tag);
+        const Word *row = &plane[set * ways_];
+        std::uint64_t match = 0;
+        for (std::uint32_t w = 0; w < ways_; ++w)
+            match |= static_cast<std::uint64_t>(row[w] == key) << w;
+        return match;
+    }
+
     /** Bit offset of @p set's mask inside its packed word. */
     std::uint32_t
     shiftOf(std::uint64_t set) const
@@ -416,11 +473,15 @@ class TagStore
     std::uint64_t way_mask_;
     TagRepl repl_;
     std::uint32_t meta_planes_;
+    std::uint64_t max_tag_;
+    bool narrow_; ///< max_tag_ fits in 32 bits: narrow_tags_ is live
     std::uint32_t mask_bits_log2_ = 6; ///< log2(bit_ceil(ways))
     std::uint32_t spw_shift_ = 0;      ///< log2(sets per mask word)
     std::uint64_t spw_mask_ = 0;       ///< (sets per word) - 1
 
-    AlignedPlane<std::uint64_t> tags_;  ///< [set * ways + way]
+    /** [set * ways + way]; exactly one of the two is allocated. */
+    AlignedPlane<std::uint32_t> narrow_tags_;
+    AlignedPlane<std::uint64_t> wide_tags_;
     AlignedPlane<std::uint64_t> valid_; ///< packed per-set way bitmasks
     AlignedPlane<std::uint64_t> dirty_; ///< packed per-set way bitmasks
     AlignedPlane<std::uint64_t> flag_;  ///< packed per-set way bitmasks

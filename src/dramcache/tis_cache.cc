@@ -9,7 +9,8 @@ TisCache::TisCache(std::uint64_t capacity_bytes, DramSystem &dram,
                    DramSystem &memory, BloatTracker &bloat)
     : DramCache(dram, memory, bloat),
       sets_(Bytes{capacity_bytes} / kLineSize / kWays),
-      tags_(TagStoreConfig{sets_, kWays, TagRepl::Lru, 1, 0})
+      tags_(TagStoreConfig{sets_, kWays, TagRepl::Lru, 1, 0,
+                           maxTagBelow(kPhysLineLimit, sets_)})
 {
 }
 

@@ -18,7 +18,7 @@
  * runSingleTenant() over VectorReplayStreams of the decoded records —
  * literally the same code path and stream semantics as an offline
  * replay of the same file — so `bearload` output diffs clean against
- * `beard --offline` (ci.sh step 10 pins this under sanitizers).
+ * `beard --offline` (ci.sh step 11 pins this under sanitizers).
  *
  * Draining: requestDrain() (wired to SIGINT/SIGTERM by the beard
  * binary via interruptRequested()) stops admissions, lets every

@@ -4,14 +4,14 @@
  * simulation job.
  *
  * A JobControl is shared between the worker thread executing a job and
- * the runner's monitor thread.  The worker publishes progress (one
- * increment per simulated reference) and the phase it is in; the
- * monitor watches progress and requests cancellation when it stops
- * advancing for longer than the watchdog timeout, or when the process
- * received SIGINT/SIGTERM.  The simulation loop checkpoints the cancel
- * flag every reference, so a cancelled job unwinds within microseconds
- * of the request — a hang becomes a structured timeout failure instead
- * of a stuck worker pool.
+ * the runner's monitor thread.  The worker publishes progress (the
+ * count of simulated references, added a block of up to 1024 at a
+ * time) and the phase it is in; the monitor watches progress and
+ * requests cancellation when it stops advancing for longer than the
+ * watchdog timeout, or when the process received SIGINT/SIGTERM.  The
+ * simulation loop checkpoints the cancel flag once per block, so a
+ * cancelled job unwinds within a millisecond of the request — a hang
+ * becomes a structured timeout failure instead of a stuck worker pool.
  */
 
 #ifndef BEAR_SIM_JOB_CONTROL_HH
@@ -35,7 +35,8 @@ enum class CancelReason : std::uint8_t
 /** Shared state between one job's worker and the monitor thread. */
 struct JobControl
 {
-    /** Simulated references retired; advancing proves liveness. */
+    /** Simulated references retired or about to run in the current
+     *  block; advancing proves liveness. */
     std::atomic<std::uint64_t> progress{0};
 
     std::atomic<CancelReason> cancel{CancelReason::None};

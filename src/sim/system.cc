@@ -159,28 +159,33 @@ System::run(std::uint64_t refs_per_core)
         refs_per_core * static_cast<std::uint64_t>(config_.cores);
     std::vector<std::uint64_t> quota(config_.cores, refs_per_core);
 
+    // Job control works a block of references at a time: publish the
+    // block as progress, checkpoint the cancel flag, then run it.
     JobControl *const control = config_.control;
-    for (std::uint64_t i = 0; i < total; ++i) {
+    for (std::uint64_t done = 0; done < total;) {
+        const std::uint64_t block = std::min(kControlBlock, total - done);
         if (control) {
-            control->progress.fetch_add(1, std::memory_order_relaxed);
+            control->progress.fetch_add(block, std::memory_order_relaxed);
             const CancelReason why = control->cancelReason();
             if (why != CancelReason::None)
                 throw JobCancelled{why, {}};
         }
-        CoreId best = config_.cores;
-        Cycle earliest = ~Cycle{0};
-        for (CoreId c = 0; c < config_.cores; ++c) {
-            if (quota[c] == 0)
-                continue;
-            if (cores_[c].nextReady() < earliest) {
-                earliest = cores_[c].nextReady();
-                best = c;
+        for (const std::uint64_t end = done + block; done < end; ++done) {
+            CoreId best = config_.cores;
+            Cycle earliest = ~Cycle{0};
+            for (CoreId c = 0; c < config_.cores; ++c) {
+                if (quota[c] == 0)
+                    continue;
+                if (cores_[c].nextReady() < earliest) {
+                    earliest = cores_[c].nextReady();
+                    best = c;
+                }
             }
+            bear_assert(best < config_.cores, "no runnable core");
+            --quota[best];
+            ++refs_done_[best];
+            step(best);
         }
-        bear_assert(best < config_.cores, "no runnable core");
-        --quota[best];
-        ++refs_done_[best];
-        step(best);
     }
     flushWritebacks(~Cycle{0});
 }

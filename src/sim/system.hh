@@ -78,9 +78,10 @@ struct SystemConfig
     /**
      * Cooperative cancellation hook (not owned).  When set, run()
      * publishes forward progress here and checkpoints the cancel flag
-     * every simulated reference, throwing JobCancelled once a cancel is
-     * requested — the mechanism behind the runner's watchdog timeout
-     * and SIGINT/SIGTERM drain (DESIGN.md §11).  Null: no overhead.
+     * once per block of System::kControlBlock (1024) references,
+     * throwing JobCancelled once a cancel is requested — the mechanism
+     * behind the runner's watchdog timeout and SIGINT/SIGTERM drain
+     * (DESIGN.md §11).  Null: no overhead.
      */
     JobControl *control = nullptr;
 };
@@ -139,6 +140,12 @@ class System
     System(const SystemConfig &config,
            std::vector<std::unique_ptr<RefStream>> streams);
     ~System();
+
+    /**
+     * References per job-control checkpoint: run() publishes progress
+     * and checks the cancel flag once per block of this many.
+     */
+    static constexpr std::uint64_t kControlBlock = 1024;
 
     /** Advance every core by @p refs_per_core references. */
     void run(std::uint64_t refs_per_core);

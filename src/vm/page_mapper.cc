@@ -1,41 +1,33 @@
 #include "vm/page_mapper.hh"
 
+#include "common/log.hh"
+
 namespace bear
 {
 
-PageMapper::PageMapper()
+std::uint32_t *
+PageMapper::map(std::uint32_t process, std::uint64_t vpage)
 {
-    table_.reserve(1 << 20);
-}
-
-std::uint64_t
-PageMapper::scramble(std::uint64_t frame)
-{
-    // Bijective mixing on 32 bits (odd-constant multiply + rotate), so
-    // distinct allocations can never collide in physical space while
-    // successive allocations scatter across cache sets and DRAM banks.
-    std::uint32_t x = static_cast<std::uint32_t>(frame);
-    x *= 0x9E3779B1U;
-    x = (x << 16) | (x >> 16);
-    x *= 0x85EBCA77U;
-    return x;
-}
-
-Addr
-PageMapper::translate(std::uint32_t process, Addr vaddr)
-{
-    const Key key{process, vaddr >> kPageShift};
-    auto [it, inserted] = table_.try_emplace(key, 0);
-    if (inserted) {
-        // Keep 8 pages of physically-contiguous allocation per process so
-        // that spatial streams still enjoy some row-buffer locality, then
-        // scatter at a coarser grain.
-        const std::uint64_t frame = next_frame_++;
-        const std::uint64_t chunk = frame >> 3;
-        const std::uint64_t offset = frame & 7;
-        it->second = (scramble(chunk) << 3) | offset;
+    if (vpage >= kMaxVirtualPages) {
+        bear_fatal("virtual page ", vpage, " of process ", process,
+                   " is past the page-table bound of kMaxVirtualPages = ",
+                   kMaxVirtualPages, " pages per process");
     }
-    return (it->second << kPageShift) | (vaddr & (kPageSize - 1));
+    if (process >= tables_.size())
+        tables_.resize(std::uint64_t{process} + 1);
+    std::vector<Leaf> &table = tables_[process];
+    const std::uint64_t leaf = vpage >> kLeafShift;
+    if (leaf >= table.size())
+        table.resize(leaf + 1);
+    if (!table[leaf])
+        table[leaf] = std::make_unique<std::uint32_t[]>(kLeafMask + 1);
+    std::uint32_t &entry = table[leaf][vpage & kLeafMask];
+    if (entry == 0) {
+        bear_assert(next_frame_ < kMaxFrames, "page table full: ",
+                    kMaxFrames, " frames (kMaxFrames) allocated");
+        entry = static_cast<std::uint32_t>(++next_frame_);
+    }
+    return &entry;
 }
 
 } // namespace bear

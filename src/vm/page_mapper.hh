@@ -12,13 +12,23 @@
  * pages of one process do not map to consecutive DRAM rows of the
  * physical space (which would make the DRAM-cache index stride
  * unrealistically regular).
+ *
+ * Each page table is a directory of fixed-size leaves indexed by
+ * virtual page.  A leaf holds 1024 four-byte entries (the frame index
+ * + 1, 0 = unmapped) and is allocated on the first touch of any page it
+ * covers, so host memory follows the pages a run touches in 4 KB steps
+ * and never copies.  Workload address spaces are dense from 0, which
+ * keeps the directories short.  The physical page is recomputed from
+ * the frame index on every translation: 8 pages per scrambled 32-bit
+ * chunk, which keeps every physical line below kPhysLineLimit
+ * (common/types.hh).
  */
 
 #ifndef BEAR_VM_PAGE_MAPPER_HH
 #define BEAR_VM_PAGE_MAPPER_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "common/types.hh"
@@ -30,13 +40,37 @@ namespace bear
 class PageMapper
 {
   public:
-    PageMapper();
+    /**
+     * Virtual pages per process that translate() accepts: a 42-bit
+     * (4 TiB) virtual address space.  Trace files are outside input, so
+     * a page past it is a fatal error that names this bound rather than
+     * a directory sized by a corrupt address.
+     */
+    static constexpr std::uint64_t kMaxVirtualPages = 1ULL << 30;
+
+    /** Frames the 4-byte entries can name (frame index + 1 <= 2^32-1). */
+    static constexpr std::uint64_t kMaxFrames = (1ULL << 32) - 1;
 
     /**
      * Translate a virtual byte address of @p process to a physical byte
      * address, allocating a fresh frame on first touch.
      */
-    Addr translate(std::uint32_t process, Addr vaddr);
+    Addr
+    translate(std::uint32_t process, Addr vaddr)
+    {
+        const std::uint64_t vpage = vaddr >> kPageShift;
+        std::uint32_t *entry = nullptr;
+        if (process < tables_.size()) {
+            const std::vector<Leaf> &table = tables_[process];
+            const std::uint64_t leaf = vpage >> kLeafShift;
+            if (leaf < table.size() && table[leaf])
+                entry = &table[leaf][vpage & kLeafMask];
+        }
+        if (entry == nullptr || *entry == 0)
+            entry = map(process, vpage);
+        return (physPageOf(*entry - 1ULL) << kPageShift)
+            | (vaddr & (kPageSize - 1));
+    }
 
     /** Number of physical frames allocated so far. */
     std::uint64_t framesAllocated() const { return next_frame_; }
@@ -48,30 +82,54 @@ class PageMapper
     }
 
   private:
-    /** Invertible mixing of the frame number to de-pattern placement. */
-    static std::uint64_t scramble(std::uint64_t frame);
+    static constexpr std::uint64_t kLeafShift = 10;
+    static constexpr std::uint64_t kLeafMask = (1ULL << kLeafShift) - 1;
 
-    struct Key
+    /** 1024 entries: frame index + 1, or 0 while the page is unmapped. */
+    using Leaf = std::unique_ptr<std::uint32_t[]>;
+
+    /**
+     * Slow path of translate(): grow @p process's table to cover
+     * @p vpage, allocate its leaf and, on first touch, its frame.
+     * Returns the (now nonzero) entry.
+     */
+    std::uint32_t *map(std::uint32_t process, std::uint64_t vpage);
+
+    /**
+     * Physical page of frame index @p frame.  Frames are kept 8 pages
+     * per physically contiguous chunk so spatial streams still enjoy
+     * some row-buffer locality; chunks are scattered by scramble().
+     */
+    static std::uint64_t
+    physPageOf(std::uint64_t frame)
     {
-        std::uint32_t process;
-        std::uint64_t vpage;
-        bool operator==(const Key &) const = default;
-    };
+        return (scramble(frame >> kPagesPerChunkShift)
+                << kPagesPerChunkShift)
+            | (frame & ((1ULL << kPagesPerChunkShift) - 1));
+    }
 
-    struct KeyHash
+    /** Invertible mixing of the chunk number to de-pattern placement. */
+    static std::uint64_t
+    scramble(std::uint64_t chunk)
     {
-        std::size_t
-        operator()(const Key &k) const
-        {
-            std::uint64_t x = (static_cast<std::uint64_t>(k.process) << 52)
-                ^ k.vpage;
-            x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-            x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-            return static_cast<std::size_t>(x ^ (x >> 31));
-        }
-    };
+        // Bijective mixing on 32 bits (odd-constant multiply + rotate),
+        // so distinct allocations can never collide in physical space
+        // while successive allocations scatter across cache sets and
+        // DRAM banks.  The 32-bit result is what bounds physical lines
+        // below kPhysLineLimit.
+        std::uint32_t x = static_cast<std::uint32_t>(chunk);
+        x *= 0x9E3779B1U;
+        x = (x << 16) | (x >> 16);
+        x *= 0x85EBCA77U;
+        return x;
+    }
 
-    std::unordered_map<Key, std::uint64_t, KeyHash> table_;
+    static_assert(kPhysChunkBits == 32,
+                  "scramble() yields 32-bit chunk numbers");
+    static_assert((kMaxFrames >> kPagesPerChunkShift) < (1ULL << 32),
+                  "every frame's chunk must survive scramble()");
+
+    std::vector<std::vector<Leaf>> tables_; ///< [process][vpage >> 10]
     std::uint64_t next_frame_ = 0;
 };
 

@@ -12,6 +12,7 @@
  * bug in the design under test.
  */
 
+#include <ostream>
 #include <unordered_map>
 
 #include <gtest/gtest.h>
@@ -89,6 +90,17 @@ struct DifferentialCase
     bool ttc;
     FillPolicy fill;
 };
+
+/**
+ * Print a case by its name.  Without this gtest dumps the raw bytes of
+ * the struct, name pointer included, so the listed test names (and the
+ * ctest names discovered from them) would change with every run.
+ */
+void
+PrintTo(const DifferentialCase &dc, std::ostream *os)
+{
+    *os << dc.name;
+}
 
 class Differential : public ::testing::TestWithParam<DifferentialCase>
 {

@@ -3,13 +3,18 @@
  * Unit tests for the shared SoA TagStore (DESIGN.md §14): probe /
  * install / evict / invalidate / touch semantics, the replacement
  * plane contracts each ported design relies on, the metadata planes,
- * and the cache-line alignment guarantee of every plane.
+ * the 32-bit tag plane against the 64-bit one, and the cache-line
+ * alignment guarantee of every plane.
  */
 
 #include <cstdint>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/log.hh"
+#include "common/rng.hh"
+#include "common/types.hh"
 #include "dramcache/tag_store.hh"
 
 using namespace bear;
@@ -252,4 +257,156 @@ TEST(TagStore, PlanesAreCacheLineAligned)
     EXPECT_EQ(misalign(store.tagPlane()), 0u);
     EXPECT_EQ(misalign(store.validPlane()), 0u);
     EXPECT_EQ(misalign(store.dirtyPlane()), 0u);
+}
+
+TEST(TagStore, TagWidthFollowsTheOwnersBound)
+{
+    EXPECT_EQ(makeStore(4, 2, TagRepl::None).tagBits(), 64u)
+        << "no bound: the 64-bit plane";
+    const auto bits = [](std::uint64_t max_tag) {
+        return TagStore(TagStoreConfig{4, 2, TagRepl::None, 1, 0, max_tag})
+            .tagBits();
+    };
+    EXPECT_EQ(bits((1ULL << 32) - 1), 32u);
+    EXPECT_EQ(bits(1ULL << 32), 64u);
+
+    // The owners' bounds from the named physical-line limit: Alloy at
+    // 64 MB (2^20 sets) and at 1 GB (2^24 sets), the 8 MB 16-way L3
+    // (8192 sets), and the 32 KB 8-way L1 (64 sets), which keeps the
+    // 64-bit plane.
+    static_assert(maxTagBelow(kPhysLineLimit, 1ULL << 20)
+                  == (1ULL << 21) - 1);
+    static_assert(maxTagBelow(kPhysLineLimit, 1ULL << 24)
+                  == (1ULL << 17) - 1);
+    static_assert(maxTagBelow(kPhysLineLimit, 8192) == (1ULL << 28) - 1);
+    static_assert(maxTagBelow(kPhysLineLimit, 64) > (1ULL << 32));
+    // A non-power-of-two set count rounds the bound down.
+    static_assert(maxTagBelow(100, 7) == 14);
+}
+
+TEST(TagStore, NarrowPlaneMatchesWidePlaneOnRandomTraffic)
+{
+    // One random operation sequence drives a 32-bit and a 64-bit store
+    // of the same geometry.  Probes (including tags the narrow words
+    // cannot hold), victims, tags (including the stale ones evict()
+    // leaves) and the valid/dirty masks must agree after every step.
+    constexpr std::uint64_t kSets = 37;
+    constexpr std::uint64_t kMaxTag = (1ULL << 21) - 1; // Alloy at 1/16
+    for (const std::uint32_t ways : {1u, 16u, 29u, 32u}) {
+        for (const TagRepl repl : {TagRepl::None, TagRepl::Lru,
+                                   TagRepl::Nru, TagRepl::Random}) {
+            SCOPED_TRACE(::testing::Message()
+                         << ways << " ways, repl "
+                         << static_cast<int>(repl));
+            TagStore narrow(
+                TagStoreConfig{kSets, ways, repl, 5, 0, kMaxTag});
+            TagStore wide(TagStoreConfig{kSets, ways, repl, 5, 0});
+            ASSERT_EQ(narrow.tagBits(), 32u);
+            ASSERT_EQ(wide.tagBits(), 64u);
+            Rng rng(ways * 131 + static_cast<std::uint64_t>(repl));
+            for (int i = 0; i < 20000; ++i) {
+                const std::uint64_t set = rng.below(kSets);
+                const auto way =
+                    static_cast<std::uint32_t>(rng.below(ways));
+                // A small pool so probes hit, plus the bound itself.
+                const std::uint64_t tag = rng.below(8) == 0
+                    ? kMaxTag - rng.below(2)
+                    : rng.below(2 * ways + 1);
+                switch (rng.below(7)) {
+                  case 0:
+                  case 1: {
+                    const TagProbe a = narrow.probe(set, tag);
+                    const TagProbe b = wide.probe(set, tag);
+                    ASSERT_EQ(a.hit, b.hit) << "step " << i;
+                    ASSERT_EQ(a.way, b.way) << "step " << i;
+                    break;
+                  }
+                  case 2: {
+                    // Equal in the low 32 bits to a resident tag.
+                    const std::uint64_t high = tag | (1ULL << 32);
+                    ASSERT_FALSE(narrow.probe(set, high).hit)
+                        << "step " << i;
+                    ASSERT_FALSE(wide.probe(set, high).hit)
+                        << "step " << i;
+                    break;
+                  }
+                  case 3: {
+                    const std::uint32_t victim = narrow.victimWay(set);
+                    ASSERT_EQ(victim, wide.victimWay(set))
+                        << "step " << i;
+                    const bool dirty = rng.below(2) == 1;
+                    narrow.install(set, victim, tag, dirty);
+                    wide.install(set, victim, tag, dirty);
+                    narrow.touch(set, victim);
+                    wide.touch(set, victim);
+                    break;
+                  }
+                  case 4:
+                    narrow.evict(set, way);
+                    wide.evict(set, way);
+                    break;
+                  case 5:
+                    narrow.invalidate(set, way);
+                    wide.invalidate(set, way);
+                    break;
+                  default:
+                    narrow.touch(set, way);
+                    wide.touch(set, way);
+                    break;
+                }
+                ASSERT_EQ(narrow.validMask(set), wide.validMask(set))
+                    << "step " << i;
+                ASSERT_EQ(narrow.dirtyMask(set), wide.dirtyMask(set))
+                    << "step " << i;
+                for (std::uint32_t w = 0; w < ways; ++w)
+                    ASSERT_EQ(narrow.tagAt(set, w), wide.tagAt(set, w))
+                        << "step " << i << " way " << w;
+            }
+            std::uint64_t stale = 0;
+            for (std::uint64_t set = 0; set < kSets; ++set) {
+                for (std::uint32_t w = 0; w < ways; ++w) {
+                    ASSERT_EQ(narrow.tagAt(set, w), wide.tagAt(set, w));
+                    stale += !narrow.validAt(set, w)
+                        && narrow.tagAt(set, w) != 0;
+                }
+            }
+            EXPECT_GT(stale, 0u) << "evict() must leave stale tags";
+            EXPECT_EQ(narrow.validCount(), wide.validCount());
+        }
+    }
+}
+
+TEST(TagStore, InstallAboveTheBoundIsAContainedPanicNamingIt)
+{
+    for (const std::uint64_t max_tag : {1000ULL, 1ULL << 40}) {
+        TagStore store(
+            TagStoreConfig{4, 2, TagRepl::Lru, 1, 0, max_tag});
+        store.install(0, 0, max_tag); // the bound itself fits
+        EXPECT_EQ(store.tagAt(0, 0), max_tag);
+
+        ContainmentScope scope;
+        try {
+            store.install(1, 1, max_tag + 1);
+            FAIL() << "a tag above maxTag = " << max_tag << " installed";
+        } catch (const ContainedFailure &failure) {
+            EXPECT_TRUE(failure.isPanic);
+            EXPECT_NE(failure.message.find("maxTag = "
+                                           + std::to_string(max_tag)),
+                      std::string::npos)
+                << failure.message;
+        }
+        EXPECT_FALSE(store.validAt(1, 1));
+    }
+}
+
+TEST(TagStore, NarrowTagPlaneIsCacheLineAligned)
+{
+    // 7 sets * 3 ways of 4-byte words: 84 bytes, so only the aligned
+    // allocation puts the plane on a line boundary.
+    TagStore store(TagStoreConfig{7, 3, TagRepl::Lru, 1, 0, 1u << 20});
+    ASSERT_EQ(store.tagBits(), 32u);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(store.tagPlane())
+                  % TagStore::kPlaneAlignment,
+              0u);
+    static_assert(AlignedPlane<std::uint32_t>::kAlignment == 64);
 }

@@ -18,7 +18,7 @@
  *
  * --offline replays a recorded trace through the batch Runner and
  * prints the report a served session of the same file would produce —
- * the reference half of the byte-identity check ci.sh step 10 pins.
+ * the reference half of the byte-identity check ci.sh step 11 pins.
  *
  * Simulation knobs come from the BEAR_* environment (BEAR_WARMUP,
  * BEAR_MEASURE, BEAR_SCALE, ...); the daemon adds the BEAR_SERVE_*

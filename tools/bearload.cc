@@ -17,7 +17,7 @@
  *   bearload --selftest
  *
  * --tolerate-faults turns bearload into the client half of a chaos
- * soak (ci.sh step 11): tenants that receive a structured Error frame
+ * soak (ci.sh step 12): tenants that receive a structured Error frame
  * from a fault-injected daemon are counted rather than fatal, while
  * the surviving tenants' reports must still agree byte-for-byte.
  *

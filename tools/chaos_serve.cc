@@ -1,7 +1,7 @@
 /**
  * @file
  * chaos_serve: fault-injection soak harness for the beard daemon
- * (DESIGN.md §17, ci.sh step 11).
+ * (DESIGN.md §17, ci.sh step 12).
  *
  * Everything runs in one process so the harness can hold both ends of
  * the invariant: it records a small deterministic trace, computes the
