@@ -1,10 +1,10 @@
 /**
  * @file
  * Microbenchmarks (google-benchmark) for the simulator's hot
- * structures: TagStore probe/install, NTC lookup, SRAM cache access,
- * DRAM channel scheduling, the gap-filling bus timeline, and workload
- * generation.  These guard the simulation throughput that makes the
- * scaled reproduction practical on one core.
+ * structures: TagStore probe/install, NTC lookup, SRAM cache access
+ * and fill, DRAM channel scheduling, the gap-filling bus timeline, and
+ * workload generation.  These guard the simulation throughput that
+ * makes the scaled reproduction practical on one core.
  *
  * Besides the normal console output, main() captures every result and
  * writes BENCH_micro.json (override with BEAR_BENCH_MICRO_OUT) — the
@@ -142,6 +142,27 @@ BM_SramCacheAccess(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SramCacheAccess);
+
+/** L3 fill path at scale 1/16 (512 sets x 16 ways, LRU): every line is
+ *  new, so each reference misses and fill() picks an LRU victim in a
+ *  full set, installs and touches.  BM_SramCacheAccess times hits. */
+void
+BM_SramCacheFill(benchmark::State &state)
+{
+    SramCacheConfig config;
+    config.capacityBytes = 512ULL << 10;
+    config.ways = 16;
+    SramCache cache(config);
+    LineAddr line = 0;
+    for (; line < 2 * cache.sets() * config.ways; ++line)
+        cache.fill(line, false, false);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(cache.access(line, false));
+        benchmark::DoNotOptimize(cache.fill(line, false, false));
+        ++line;
+    }
+}
+BENCHMARK(BM_SramCacheFill);
 
 void
 BM_DramChannelRead(benchmark::State &state)

@@ -21,22 +21,11 @@ setsOf(const SramCacheConfig &config)
     return sets;
 }
 
-TagRepl
-replOf(ReplacementKind kind)
-{
-    switch (kind) {
-      case ReplacementKind::LRU: return TagRepl::Lru;
-      case ReplacementKind::Random: return TagRepl::Random;
-      case ReplacementKind::NRU: return TagRepl::Nru;
-    }
-    bear_panic("unknown replacement kind");
-}
-
 } // namespace
 
 SramCache::SramCache(const SramCacheConfig &config)
     : config_(config), sets_(setsOf(config)),
-      tags_(TagStoreConfig{sets_, config.ways, replOf(config.replacement),
+      tags_(TagStoreConfig{sets_, config.ways, config.replacement,
                            1, 0, maxTagBelow(kPhysLineLimit, sets_)})
 {
 }

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <string>
 
-#include "cache/replacement.hh"
 #include "common/types.hh"
 #include "dramcache/tag_store.hh"
 
@@ -37,7 +36,7 @@ struct SramCacheConfig
     std::uint64_t capacityBytes = 8ULL << 20;
     std::uint32_t ways = 16;
     Cycle latency = 24; ///< access latency in CPU cycles
-    ReplacementKind replacement = ReplacementKind::LRU;
+    TagRepl replacement = TagRepl::Lru;
 };
 
 /** Outcome of a lookup. */

@@ -28,7 +28,9 @@
  *    (set, way); the sector cache keeps its per-block valid/dirty
  *    bitmaps here;
  *  - a pluggable per-set replacement plane (None / LRU / Random /
- *    NRU) so way-recency state stops living in shadow vectors.
+ *    NRU) so way-recency state stops living in shadow vectors.  LRU
+ *    keeps one 8-bit stamp per entry drawn from an 8-bit counter per
+ *    set (see touch()).
  *
  * Ownership contract: TagStore owns tag, valid, dirty, flag, metadata
  * and replacement state; designs own *policy* — when to probe, fill,
@@ -121,7 +123,7 @@ class AlignedPlane
 enum class TagRepl : std::uint8_t
 {
     None,   ///< direct-mapped / caller never asks for a victim
-    Lru,    ///< true LRU via per-entry last-touch timestamps
+    Lru,    ///< true LRU via per-entry 8-bit per-set touch stamps
     Random, ///< deterministic PRNG victim
     Nru     ///< one reference bit per entry, clock-style victim
 };
@@ -162,6 +164,8 @@ class TagStore
   public:
     static constexpr std::uint32_t kMaxWays = 64;
     static constexpr std::uint32_t kMaxMetaPlanes = 2;
+    /** The stamp whose touch renumbers its set (see touch()). */
+    static constexpr std::uint8_t kMaxLruStamp = 255;
     static constexpr std::size_t kPlaneAlignment =
         AlignedPlane<std::uint64_t>::kAlignment;
 
@@ -200,9 +204,10 @@ class TagStore
         flag_.reset(mask_words, 0);
         for (std::uint32_t p = 0; p < meta_planes_; ++p)
             meta_[p].reset(sets_ * ways_, 0);
-        if (repl_ == TagRepl::Lru)
-            last_touch_.reset(sets_ * ways_, 0);
-        else if (repl_ == TagRepl::Nru)
+        if (repl_ == TagRepl::Lru) {
+            lru_stamp_.reset(sets_ * ways_, 0);
+            lru_clock_.reset(sets_, 0);
+        } else if (repl_ == TagRepl::Nru)
             referenced_.reset(mask_words, 0);
     }
 
@@ -248,9 +253,9 @@ class TagStore
           case TagRepl::None:
             return 0;
           case TagRepl::Lru: {
-            const std::uint64_t *row = &last_touch_[set * ways_];
+            const std::uint8_t *row = &lru_stamp_[set * ways_];
             std::uint32_t best = 0;
-            std::uint64_t oldest = ~0ULL;
+            std::uint32_t oldest = kMaxLruStamp + 1;
             for (std::uint32_t w = 0; w < ways_; ++w) {
                 if (row[w] < oldest) {
                     oldest = row[w];
@@ -324,19 +329,31 @@ class TagStore
     {
         evict(set, way);
         if (repl_ == TagRepl::Lru)
-            last_touch_[set * ways_ + way] = 0;
+            lru_stamp_[set * ways_ + way] = 0;
         else if (repl_ == TagRepl::Nru)
             setBit(referenced_, set, way, false);
     }
 
-    /** Promote (set, way) in the replacement plane. */
+    /**
+     * Promote (set, way) in the replacement plane.  LRU stamps the way
+     * with its set's next counter value, so within a set a larger
+     * stamp is a later touch and 0 is never touched (or invalidated),
+     * just as under one store-wide clock; victimWay() only compares
+     * stamps of one set.  The touch that issues kMaxLruStamp
+     * renumbers the set (renumberLru()), leaving the counter at most
+     * kMaxWays.
+     */
     void
     touch(std::uint64_t set, std::uint32_t way)
     {
-        if (repl_ == TagRepl::Lru)
-            last_touch_[set * ways_ + way] = tick_++;
-        else if (repl_ == TagRepl::Nru)
+        if (repl_ == TagRepl::Lru) {
+            const std::uint8_t stamp = ++lru_clock_[set];
+            lru_stamp_[set * ways_ + way] = stamp;
+            if (stamp == kMaxLruStamp)
+                renumberLru(set);
+        } else if (repl_ == TagRepl::Nru) {
             setBit(referenced_, set, way, true);
+        }
     }
 
     void
@@ -411,6 +428,14 @@ class TagStore
         meta_[plane][set * ways_ + way] = value;
     }
 
+    /** (set, way)'s LRU stamp (TagRepl::Lru stores only): 0 = never
+     *  touched or invalidated since, else its touch order in the set. */
+    std::uint8_t
+    lruStampAt(std::uint64_t set, std::uint32_t way) const
+    {
+        return lru_stamp_[set * ways_ + way];
+    }
+
     /** Plane base addresses, for the alignment checks in tests. */
     const void *
     tagPlane() const
@@ -422,6 +447,42 @@ class TagStore
     const std::uint64_t *dirtyPlane() const { return dirty_.data(); }
 
   private:
+    /**
+     * Rewrite @p set's nonzero stamps as 1..k in their existing order
+     * and restart its counter at k.  Nonzero stamps in a set are
+     * distinct (each touch issues a fresh counter value), so one
+     * counting pass suffices: mark each value present in a 256-bit
+     * map, and a stamp's new value is the number of marked nonzero
+     * values up to and including it.  Stamp 0 stays 0.  Cold: it runs
+     * once per 191+ touches of a set, and inlined into touch() it made
+     * the install/evict/touch churn (BM_TagStoreInstallEvict) ~20%
+     * slower.
+     */
+    [[gnu::cold]] void
+    renumberLru(std::uint64_t set)
+    {
+        std::uint8_t *row = &lru_stamp_[set * ways_];
+        std::uint64_t present[4] = {};
+        for (std::uint32_t w = 0; w < ways_; ++w)
+            present[row[w] >> 6] |= 1ULL << (row[w] & 63);
+        present[0] &= ~1ULL;
+        std::uint32_t below[4] = {};
+        for (std::uint32_t i = 1; i < 4; ++i)
+            below[i] = below[i - 1] + static_cast<std::uint32_t>(
+                std::popcount(present[i - 1]));
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            const std::uint32_t v = row[w];
+            if (v == 0)
+                continue;
+            const std::uint64_t upto =
+                present[v >> 6] & (~0ULL >> (63 - (v & 63)));
+            row[w] = static_cast<std::uint8_t>(
+                below[v >> 6] + std::popcount(upto));
+        }
+        lru_clock_[set] = static_cast<std::uint8_t>(
+            below[3] + std::popcount(present[3]));
+    }
+
     /** Match mask of @p set's ways whose tag equals @p tag. */
     template <typename Word>
     std::uint64_t
@@ -487,9 +548,10 @@ class TagStore
     AlignedPlane<std::uint64_t> flag_;  ///< packed per-set way bitmasks
     AlignedPlane<std::uint64_t> meta_[kMaxMetaPlanes];
 
-    AlignedPlane<std::uint64_t> last_touch_; ///< TagRepl::Lru
+    AlignedPlane<std::uint8_t> lru_stamp_; ///< TagRepl::Lru, per entry
+    AlignedPlane<std::uint8_t> lru_clock_; ///< TagRepl::Lru: last stamp
+                                           ///< issued in each set
     AlignedPlane<std::uint64_t> referenced_; ///< TagRepl::Nru, packed
-    std::uint64_t tick_ = 1;
     Rng rng_;
 };
 

@@ -89,7 +89,6 @@ System::System(const SystemConfig &config,
     cores_.reserve(config.cores);
     for (CoreId c = 0; c < config.cores; ++c)
         cores_.emplace_back(c, config.baseCpi);
-    refs_done_.assign(config.cores, 0);
 }
 
 System::~System() = default;
@@ -183,7 +182,6 @@ System::run(std::uint64_t refs_per_core)
             }
             bear_assert(best < config_.cores, "no runnable core");
             --quota[best];
-            ++refs_done_[best];
             step(best);
         }
     }

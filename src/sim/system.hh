@@ -216,7 +216,6 @@ class System
     SystemConfig config_;
     std::vector<std::unique_ptr<RefStream>> streams_;
     std::vector<CoreModel> cores_;
-    std::vector<std::uint64_t> refs_done_;
 
     PageMapper mapper_;
     std::unique_ptr<DramSystem> cache_dram_;

@@ -105,7 +105,7 @@ TEST(SramCacheEdge, RandomPolicyStillCorrect)
     SramCacheConfig config;
     config.capacityBytes = (8 * kLineSize).count();
     config.ways = 4;
-    config.replacement = ReplacementKind::Random;
+    config.replacement = TagRepl::Random;
     SramCache cache(config);
     for (LineAddr l = 0; l < 100; ++l)
         cache.fill(l, false, false);
@@ -122,7 +122,7 @@ TEST(SramCacheEdge, NruPolicyStillCorrect)
     SramCacheConfig config;
     config.capacityBytes = (8 * kLineSize).count();
     config.ways = 4;
-    config.replacement = ReplacementKind::NRU;
+    config.replacement = TagRepl::Nru;
     SramCache cache(config);
     for (LineAddr l = 0; l < 64; ++l) {
         cache.fill(l, false, false);
