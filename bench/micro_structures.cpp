@@ -29,7 +29,6 @@
 #include "dramcache/ntc.hh"
 #include "dramcache/tag_store.hh"
 #include "mem/dram_system.hh"
-#include "serve/frame.hh"
 #include "vm/page_mapper.hh"
 #include "workloads/workload.hh"
 
@@ -298,46 +297,6 @@ BM_PageMapperTranslate(benchmark::State &state)
     }
 }
 BENCHMARK(BM_PageMapperTranslate);
-
-void
-BM_ServeFrameEncode(benchmark::State &state)
-{
-    // One TraceData frame of typical size: 64 KiB of trace bytes,
-    // the slice bearload sends per frame.
-    std::vector<std::uint8_t> body(64 * 1024);
-    for (std::size_t i = 0; i < body.size(); ++i)
-        body[i] = static_cast<std::uint8_t>(i * 131);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            serve::encodeFrame(serve::FrameType::TraceData, body));
-    }
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(state.iterations())
-        * static_cast<std::int64_t>(body.size()));
-}
-BENCHMARK(BM_ServeFrameEncode);
-
-void
-BM_ServeFrameDecode(benchmark::State &state)
-{
-    std::vector<std::uint8_t> body(64 * 1024);
-    for (std::size_t i = 0; i < body.size(); ++i)
-        body[i] = static_cast<std::uint8_t>(i * 131);
-    const std::vector<std::uint8_t> wire =
-        serve::encodeFrame(serve::FrameType::TraceData, body);
-    for (auto _ : state) {
-        serve::FrameDecoder decoder;
-        decoder.ingest(wire.data(), wire.size());
-        auto next = decoder.next();
-        if (!next.hasValue() || !next->has_value())
-            state.SkipWithError("frame failed to decode");
-        benchmark::DoNotOptimize(next);
-    }
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(state.iterations())
-        * static_cast<std::int64_t>(body.size()));
-}
-BENCHMARK(BM_ServeFrameDecode);
 
 /**
  * Console output as usual, plus a captured (name, ns/op) pair per

@@ -40,9 +40,9 @@ unexpected(E error)
  * Either a T (success) or an E (failure); never both, never neither.
  *
  * The type itself is [[nodiscard]]: a call that returns an Expected
- * and ignores it is a compiler warning (and a bearlint BL001
- * diagnostic), because a dropped result is exactly the silently
- * ignored error this type exists to make impossible.
+ * and ignores it is a compile error (every build adds
+ * -Werror=unused-result), because a dropped result is exactly the
+ * silently ignored error this type exists to make impossible.
  */
 template <typename T, typename E>
 class [[nodiscard]] Expected

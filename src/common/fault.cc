@@ -122,24 +122,6 @@ parseClause(const std::string &text)
 
 } // namespace
 
-const char *
-faultKindName(FaultKind kind)
-{
-    switch (kind) {
-    case FaultKind::Throw:
-        return "throw";
-    case FaultKind::Panic:
-        return "panic";
-    case FaultKind::Alloc:
-        return "alloc";
-    case FaultKind::Stall:
-        return "stall";
-    case FaultKind::TraceIo:
-        return "trace-io";
-    }
-    return "?";
-}
-
 Expected<FaultPlan, std::string>
 parseFaultSpec(const std::string &spec)
 {
@@ -176,8 +158,8 @@ FaultInjector::disarm()
     MutexLock lock(mutex_);
     plan_ = FaultPlan{};
     counts_.clear();
-    // fired_ is kept until the next arm(): a chaos harness reads its
-    // tally after the faulted daemon has drained (and disarmed).
+    // fired_ is kept until the next arm(), so the tally stays
+    // readable after the Runner that armed the plan is gone.
     armed_.store(false, std::memory_order_relaxed);
 }
 
@@ -224,16 +206,6 @@ FaultInjector::firedAt(const std::string &site) const
     MutexLock lock(mutex_);
     const auto it = fired_.find(site);
     return it == fired_.end() ? 0 : it->second;
-}
-
-std::uint64_t
-FaultInjector::firedTotal() const
-{
-    MutexLock lock(mutex_);
-    std::uint64_t total = 0;
-    for (const auto &entry : fired_)
-        total += entry.second;
-    return total;
 }
 
 FaultInjector &

@@ -56,9 +56,6 @@ enum class FaultKind : std::uint8_t
     TraceIo, ///< poison the trace stream (meaningful at trace.* sites)
 };
 
-/** Stable lower-case name, matching the spec grammar. */
-const char *faultKindName(FaultKind kind);
-
 /** One `kind@site[:trigger]` clause. */
 struct FaultClause
 {
@@ -110,11 +107,6 @@ class FaultInjector
 
     /** Total faults injected at @p site since arm() (test hook). */
     std::uint64_t firedAt(const std::string &site) const;
-
-    /** Total faults injected at every site since arm() (test hook).
-     *  Survives disarm(), so a chaos harness can assert its soak
-     *  actually exercised the plan after the daemon drained. */
-    std::uint64_t firedTotal() const;
 
   private:
     mutable Mutex mutex_;

@@ -35,6 +35,13 @@ constexpr std::uint64_t kMaxWorkers = 4096;
 constexpr std::uint64_t kMaxEventTraceCapacity = 1ULL << 24;
 constexpr double kMaxJobTimeoutSeconds = 86400.0;
 
+/**
+ * Executions of a job before a transient failure (trace I/O) becomes
+ * its final error.  Retries back off deterministically (10ms <<
+ * attempt); non-transient failures never retry.
+ */
+constexpr std::uint32_t kTraceIoAttempts = 3;
+
 /** Watchdog/interrupt poll period; bounds cancellation latency. */
 constexpr std::chrono::milliseconds kMonitorTick{20};
 
@@ -77,43 +84,71 @@ parseDouble(const char *text, double &out)
     return nullptr;
 }
 
-/** One override: parse $name into @p out if set; nullptr on success. */
-template <typename T, typename Parse>
+/*
+ * Strict environment overrides (the BEAR_* parsing discipline): an
+ * unset variable leaves its target untouched and returns false; a
+ * set-but-malformed or out-of-range value is an EnvError naming the
+ * variable, the rejected text and the accepted domain, never a silent
+ * fallback to the default or a silent truncation.
+ */
+
+/**
+ * Double override: parse $name into @p out if set, then apply
+ * @p constraint, which returns nullptr to accept or the reason to
+ * reject.
+ */
 Expected<bool, EnvError>
-envOverride(const char *name, T &out, Parse parse,
-            const char *constraint(const T &) = nullptr)
+envOverride(const char *name, double &out,
+            const char *constraint(const double &))
 {
     const char *text = std::getenv(name);
     if (!text)
         return false;
-    T parsed{};
-    if (const char *why = parse(text, parsed))
+    double parsed = 0.0;
+    if (const char *why = parseDouble(text, parsed))
         return unexpected(EnvError{name, text, why});
-    if (constraint) {
-        if (const char *why = constraint(parsed))
-            return unexpected(EnvError{name, text, why});
-    }
+    if (const char *why = constraint(parsed))
+        return unexpected(EnvError{name, text, why});
     out = parsed;
     return true;
 }
 
 /**
- * Unsigned override with an explicit domain: negative, non-numeric,
- * and overflowing values are all rejected with the accepted range
- * spelled out, so `BEAR_WORKERS=5000000000` is an error message and
- * not a silently truncated 32-bit worker count.
+ * Unsigned override in 0..@p max: negative, non-numeric, and
+ * overflowing values are all rejected with the accepted range spelled
+ * out, so `BEAR_WORKERS=5000000000` is an error message and not a
+ * silently truncated 32-bit worker count.
  */
 Expected<bool, EnvError>
-envBoundedU64(const char *name, std::uint64_t &out, std::uint64_t max)
+envU64InRange(const char *name, std::uint64_t &out, std::uint64_t max)
 {
-    return envU64InRange(name, out, 0, max);
+    const char *text = std::getenv(name);
+    if (!text)
+        return false;
+    std::uint64_t parsed = 0;
+    const char *why = parseU64(text, parsed);
+    if (!why && parsed > max)
+        why = "out of range";
+    if (why) {
+        return unexpected(EnvError{
+            name, text,
+            detail::format(why, " (accepted range 0..", max, ")")});
+    }
+    out = parsed;
+    return true;
 }
 
 /** String override; set-but-empty is a config error, not "unset". */
 Expected<bool, EnvError>
-envString(const char *name, std::string &out)
+envNonEmptyString(const char *name, std::string &out)
 {
-    return envNonEmptyString(name, out);
+    const char *text = std::getenv(name);
+    if (!text)
+        return false;
+    if (*text == '\0')
+        return unexpected(EnvError{name, text, "empty value"});
+    out = text;
+    return true;
 }
 
 /**
@@ -202,59 +237,6 @@ EnvError::message() const
     return variable + "=\"" + value + "\": " + reason;
 }
 
-Expected<bool, EnvError>
-envU64InRange(const char *name, std::uint64_t &out, std::uint64_t lo,
-              std::uint64_t hi)
-{
-    const char *text = std::getenv(name);
-    if (!text)
-        return false;
-    std::uint64_t parsed = 0;
-    const char *why = parseU64(text, parsed);
-    if (!why && (parsed < lo || parsed > hi))
-        why = "out of range";
-    if (why) {
-        return unexpected(EnvError{
-            name, text,
-            detail::format(why, " (accepted range ", lo, "..", hi,
-                           ")")});
-    }
-    out = parsed;
-    return true;
-}
-
-Expected<bool, EnvError>
-envSecondsInRange(const char *name, double &out, double lo, double hi)
-{
-    const char *text = std::getenv(name);
-    if (!text)
-        return false;
-    double parsed = 0.0;
-    const char *why = parseDouble(text, parsed);
-    if (!why && (parsed < lo || parsed > hi))
-        why = "out of range";
-    if (why) {
-        return unexpected(EnvError{
-            name, text,
-            detail::format(why, " (accepted range ", lo, "..", hi,
-                           " seconds)")});
-    }
-    out = parsed;
-    return true;
-}
-
-Expected<bool, EnvError>
-envNonEmptyString(const char *name, std::string &out)
-{
-    const char *text = std::getenv(name);
-    if (!text)
-        return false;
-    if (*text == '\0')
-        return unexpected(EnvError{name, text, "empty value"});
-    out = text;
-    return true;
-}
-
 const char *
 jobPhaseName(JobPhase phase)
 {
@@ -304,13 +286,13 @@ RunnerOptions::tryFromEnv()
     RunnerOptions options;
 
     std::uint64_t full = 0;
-    auto r = envBoundedU64("BEAR_FULL", full, 1);
+    auto r = envU64InRange("BEAR_FULL", full, 1);
     if (!r)
         return unexpected(r.error());
     if (full)
         options.scale = 1.0;
 
-    r = envOverride("BEAR_SCALE", options.scale, parseDouble,
+    r = envOverride("BEAR_SCALE", options.scale,
                     +[](const double &v) {
                         return v > 0.0 && v <= 16.0
                             ? nullptr
@@ -319,36 +301,36 @@ RunnerOptions::tryFromEnv()
     if (!r)
         return unexpected(r.error());
 
-    r = envBoundedU64("BEAR_WARMUP", options.warmupRefsPerCore,
+    r = envU64InRange("BEAR_WARMUP", options.warmupRefsPerCore,
                       kMaxRefsPerCore);
     if (!r)
         return unexpected(r.error());
-    r = envBoundedU64("BEAR_MEASURE", options.measureRefsPerCore,
+    r = envU64InRange("BEAR_MEASURE", options.measureRefsPerCore,
                       kMaxRefsPerCore);
     if (!r)
         return unexpected(r.error());
 
     std::uint64_t workers = options.workers;
-    r = envBoundedU64("BEAR_WORKERS", workers, kMaxWorkers);
+    r = envU64InRange("BEAR_WORKERS", workers, kMaxWorkers);
     if (!r)
         return unexpected(r.error());
     options.workers = static_cast<std::uint32_t>(workers);
 
     std::uint64_t trace = options.traceCapacity;
-    r = envBoundedU64("BEAR_TRACE", trace, kMaxEventTraceCapacity);
+    r = envU64InRange("BEAR_TRACE", trace, kMaxEventTraceCapacity);
     if (!r)
         return unexpected(r.error());
     options.traceCapacity = static_cast<std::size_t>(trace);
 
-    r = envString("BEAR_TRACE_IN", options.traceInPath);
+    r = envNonEmptyString("BEAR_TRACE_IN", options.traceInPath);
     if (!r)
         return unexpected(r.error());
-    r = envString("BEAR_TRACE_OUT", options.traceOutPath);
+    r = envNonEmptyString("BEAR_TRACE_OUT", options.traceOutPath);
     if (!r)
         return unexpected(r.error());
 
     r = envOverride("BEAR_JOB_TIMEOUT", options.jobTimeoutSeconds,
-                    parseDouble, +[](const double &v) {
+                    +[](const double &v) {
                         return v > 0.0 && v <= kMaxJobTimeoutSeconds
                             ? nullptr
                             : "timeout must be in (0, 86400] seconds";
@@ -356,11 +338,11 @@ RunnerOptions::tryFromEnv()
     if (!r)
         return unexpected(r.error());
 
-    r = envString("BEAR_JOURNAL", options.journalPath);
+    r = envNonEmptyString("BEAR_JOURNAL", options.journalPath);
     if (!r)
         return unexpected(r.error());
 
-    r = envString("BEAR_FAULT", options.faultSpec);
+    r = envNonEmptyString("BEAR_FAULT", options.faultSpec);
     if (!r)
         return unexpected(r.error());
     if (!options.faultSpec.empty()) {
@@ -370,17 +352,6 @@ RunnerOptions::tryFromEnv()
                                        plan.error()});
         }
     }
-
-    std::uint64_t retries = options.retries;
-    r = envOverride("BEAR_RETRIES", retries, parseU64,
-                    +[](const std::uint64_t &v) {
-                        return v >= 1 && v <= 16
-                            ? nullptr
-                            : "accepted range 1..16";
-                    });
-    if (!r)
-        return unexpected(r.error());
-    options.retries = static_cast<std::uint32_t>(retries);
 
     return options;
 }
@@ -461,7 +432,6 @@ Runner::Runner(const RunnerOptions &options) : options_(options)
 {
     bear_assert(options.scale > 0.0, "scale must be positive");
     bear_assert(options.cores > 0, "need cores");
-    bear_assert(options.retries >= 1, "need at least one attempt");
 
     // Preflight the replay corpus before any simulation (and before
     // the monitor thread exists, so a config error dies with a clean
@@ -813,14 +783,14 @@ Runner::tryRun(const RunJob &job)
         RunError err = outcome.error();
         err.attempts = attempt;
         const bool transient = err.kind == RunErrorKind::TraceIo;
-        if (!transient || attempt >= options_.retries)
+        if (!transient || attempt >= kTraceIoAttempts)
             return unexpected(std::move(err));
 
         // Deterministic capped backoff: 10ms, 20ms, 40ms, ...
         const auto backoff =
             std::chrono::milliseconds(10LL << (attempt - 1));
         bear_warn("transient failure of ", key, " (attempt ", attempt,
-                  " of ", options_.retries, "): ", err.what,
+                  " of ", kTraceIoAttempts, "): ", err.what,
                   "; retrying in ", backoff.count(), " ms");
         std::this_thread::sleep_for(backoff);
     }
@@ -1083,14 +1053,6 @@ allJobs(DesignKind design)
         jobs.push_back(job);
     }
     return jobs;
-}
-
-double
-wallSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
 }
 
 } // namespace bear

@@ -17,10 +17,10 @@
  * never a dead worker pool or a half-printed table.  A monitor thread
  * watches forward progress and converts hangs into timeout failures
  * (BEAR_JOB_TIMEOUT) and SIGINT/SIGTERM into a graceful sweep drain.
- * Transient trace-I/O failures retry with capped deterministic
- * backoff (BEAR_RETRIES).  With BEAR_JOURNAL set, every completed
- * cell is appended to a CRC-sealed journal and a re-run resumes,
- * re-executing only failed or missing cells.
+ * A transient trace-I/O failure gets three attempts in all, with
+ * capped deterministic backoff.  With BEAR_JOURNAL set, every
+ * completed cell is appended to a CRC-sealed journal and a re-run
+ * resumes, re-executing only failed or missing cells.
  */
 
 #ifndef BEAR_SIM_RUNNER_HH
@@ -58,26 +58,6 @@ struct EnvError
     /** `BEAR_SCALE="abc": not a number` — ready to print. */
     std::string message() const;
 };
-
-/**
- * Strict environment-override helpers (the BEAR_* parsing
- * discipline): an unset variable leaves @p out untouched and returns
- * false; a set-but-malformed or out-of-range value is an EnvError
- * naming the variable, the rejected text, and the accepted range —
- * never a silent fallback to the default or a silent truncation.
- * RunnerOptions::tryFromEnv is built on these, and the serve layer
- * reuses them for its BEAR_SERVE_* knobs.
- */
-[[nodiscard]] Expected<bool, EnvError>
-envU64InRange(const char *name, std::uint64_t &out, std::uint64_t lo,
-              std::uint64_t hi);
-
-[[nodiscard]] Expected<bool, EnvError>
-envSecondsInRange(const char *name, double &out, double lo, double hi);
-
-/** String override; set-but-empty is a config error, not "unset". */
-[[nodiscard]] Expected<bool, EnvError>
-envNonEmptyString(const char *name, std::string &out);
 
 /** Knobs shared by every run of a bench binary. */
 struct RunnerOptions
@@ -132,22 +112,14 @@ struct RunnerOptions
     std::string faultSpec;
 
     /**
-     * Attempts per job before a transient failure (trace I/O) becomes
-     * the job's final error.  Retries back off deterministically
-     * (10ms << attempt).  Non-transient failures never retry.
-     * BEAR_RETRIES, accepted range 1..16.
-     */
-    std::uint32_t retries = 3;
-
-    /**
      * Parse the environment overrides strictly: BEAR_SCALE,
      * BEAR_WARMUP, BEAR_MEASURE, BEAR_WORKERS, BEAR_TRACE,
      * BEAR_TRACE_IN / BEAR_TRACE_OUT (.beartrace replay / record),
-     * BEAR_JOB_TIMEOUT / BEAR_JOURNAL / BEAR_FAULT / BEAR_RETRIES
-     * (resilience), BEAR_FULL=1 (paper-size, scale 1.0).  A
-     * set-but-malformed variable is an error naming the variable and,
-     * for the numeric knobs, the accepted range — never a silent
-     * fallback to the default or a silent truncation.
+     * BEAR_JOB_TIMEOUT / BEAR_JOURNAL / BEAR_FAULT (resilience),
+     * BEAR_FULL=1 (paper-size, scale 1.0).  A set-but-malformed
+     * variable is an error naming the variable and, for the numeric
+     * knobs, the accepted range — never a silent fallback to the
+     * default or a silent truncation.
      */
     [[nodiscard]] static Expected<RunnerOptions, EnvError>
     tryFromEnv();
@@ -161,7 +133,7 @@ struct RunnerOptions
      * counts, cores, geometry, seed, trace capacity, replay path) —
      * the compatibility stamp of the results journal.  Fields that
      * only shape execution (workers, journal/record paths, timeout,
-     * retries) are excluded, so resuming with more workers or a
+     * fault spec) are excluded, so resuming with more workers or a
      * different timeout is allowed.
      */
     std::uint64_t fingerprint() const;
@@ -333,14 +305,6 @@ std::vector<RunJob> mixJobs(DesignKind design);
  * 54-workload set).
  */
 std::vector<RunJob> allJobs(DesignKind design);
-
-/**
- * Monotonic wall-clock seconds (arbitrary epoch), for benchmark
- * harnesses that time throughput.  Lives here because the runner is
- * the sanctioned wall-clock seam (tools/bearlint BL004): simulation
- * code must never read the host clock, but the perf harness must.
- */
-double wallSeconds();
 
 } // namespace bear
 

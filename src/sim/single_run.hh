@@ -1,23 +1,20 @@
 /**
  * @file
- * The single-tenant run primitive shared by the batch runner
- * (sim/runner) and the serving daemon (src/serve).
+ * The single run primitive of the batch runner (sim/runner).
  *
  * One "run" is the paper's methodology in miniature: build a System
  * over per-core reference streams, execute the warm-up phase, reset
  * statistics, execute the measurement phase, and gather the schema-v2
- * statistics.  Runner::execute wrapped that sequence in sweep
- * machinery (memoisation, retries, recording tees); beard needs the
- * same sequence per tenant session without any of that.  Factoring it
- * here is what makes the serve byte-identity guarantee structural: a
- * served session and an offline replay execute literally the same
- * code over equivalent streams, so their reports cannot diverge.
+ * statistics.  The runner wraps that sequence in its sweep machinery
+ * (memoisation, retries, recording tees); its rate/mix jobs and its
+ * single-core IPC_alone reference runs both go through it.
  *
  * Cancellation composes unchanged: when spec.config.control is set,
- * the run checkpoints the cancel flag every simulated reference and
- * unwinds as JobCancelled with diagnostics (event-trace tail, busiest
- * banks) attached while the System is still alive — the runner's
- * watchdog and beard's drain both ride on it.
+ * the run checks the cancel flag once per System::kControlBlock
+ * (1024) simulated references and unwinds as JobCancelled with
+ * diagnostics (event-trace tail, busiest banks) attached while the
+ * System is still alive — the runner's watchdog and its SIGINT/SIGTERM
+ * drain both ride on it.
  */
 
 #ifndef BEAR_SIM_SINGLE_RUN_HH
@@ -58,7 +55,7 @@ struct SingleRunSpec
     /**
      * Invoked at each phase boundary, after the phase label is
      * published to the JobControl and before the phase executes.  The
-     * runner injects its fault sites here; beard leaves it empty.
+     * runner injects its fault sites here; empty means no hook.
      */
     std::function<void(RunPhase)> onPhase;
 };
@@ -84,8 +81,8 @@ std::string gatherRunDiagnostics(System &system, JobControl &control);
  * Install the process-wide SIGINT/SIGTERM handlers (idempotent).  The
  * first signal is recorded — interruptRequested() turns true — and
  * the disposition resets to default so a second signal force-kills.
- * Runner's constructor calls this; long-running daemons (beard) call
- * it directly and poll interruptRequested() to start their drain.
+ * Runner's constructor calls this, and its monitor thread polls
+ * interruptRequested() to start the drain.
  */
 void installInterruptHandlers();
 

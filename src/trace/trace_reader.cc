@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "common/log.hh"
-#include "trace/trace_stream_decoder.hh"
 
 namespace bear::trace
 {
@@ -21,6 +20,64 @@ readAt(std::ifstream &in, std::uint64_t offset, std::uint8_t *out,
     in.read(reinterpret_cast<char *>(out),
             static_cast<std::streamsize>(size));
     return in.gcount() == static_cast<std::streamsize>(size);
+}
+
+/**
+ * Decode the delta-encoded records of one chunk payload (flags byte +
+ * three varints per record, zigzag address/PC deltas).  A malformed
+ * payload is a BadChunk; the error is its detail text, and the caller
+ * attaches the chunk's offset and index.
+ */
+[[nodiscard]] Expected<std::vector<MemRef>, std::string>
+decodeChunkRecords(const std::uint8_t *payload,
+                   std::size_t payload_bytes, std::uint32_t records)
+{
+    std::vector<MemRef> out;
+    out.reserve(records);
+    const std::uint8_t *p = payload;
+    const std::uint8_t *end = payload + payload_bytes;
+    std::uint64_t prev_vaddr = 0;
+    std::uint64_t prev_pc = 0;
+    for (std::uint32_t i = 0; i < records; ++i) {
+        if (p == end) {
+            return unexpected("payload ends after " + std::to_string(i)
+                              + " of " + std::to_string(records)
+                              + " records");
+        }
+        const std::uint8_t flags = *p++;
+        if (flags & static_cast<std::uint8_t>(~kFlagMask)) {
+            return unexpected("reserved flag bits set in record "
+                              + std::to_string(i));
+        }
+        std::uint64_t vaddr_zz = 0;
+        std::uint64_t pc_zz = 0;
+        std::uint64_t gap = 0;
+        if (!getVarint(&p, end, &vaddr_zz)
+            || !getVarint(&p, end, &pc_zz)
+            || !getVarint(&p, end, &gap)) {
+            return unexpected("malformed varint in record "
+                              + std::to_string(i));
+        }
+        if (gap > UINT32_MAX) {
+            return unexpected(
+                "instruction gap overflows 32 bits in record "
+                + std::to_string(i));
+        }
+        prev_vaddr += static_cast<std::uint64_t>(unzigzag(vaddr_zz));
+        prev_pc += static_cast<std::uint64_t>(unzigzag(pc_zz));
+        MemRef ref;
+        ref.vaddr = prev_vaddr;
+        ref.pc = prev_pc;
+        ref.instGap = static_cast<std::uint32_t>(gap);
+        ref.isWrite = (flags & kFlagWrite) != 0;
+        ref.dependent = (flags & kFlagDependent) != 0;
+        out.push_back(ref);
+    }
+    if (p != end) {
+        return unexpected(std::to_string(end - p)
+                          + " trailing bytes after the last record");
+    }
+    return out;
 }
 
 } // namespace
@@ -241,14 +298,11 @@ TraceReader::loadChunk()
                     std::to_string(computed) + ")"));
         }
 
-        // Record decoding is shared with the socket-streaming path
-        // (trace_stream_decoder); only the offset/chunk attribution
-        // is ours.
         auto decoded = decodeChunkRecords(
             frame.data() + kChunkHeaderBytes, payload_bytes, records);
         if (!decoded.hasValue()) {
             return unexpected(
-                errorAt(decoded.error().kind, decoded.error().detail));
+                errorAt(TraceErrorKind::BadChunk, decoded.error()));
         }
         buffer_ = std::move(decoded.value());
 

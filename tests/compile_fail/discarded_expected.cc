@@ -1,8 +1,8 @@
 // Must NOT compile (tests/CMakeLists.txt builds it with
 // -Werror=unused-result): Expected is a [[nodiscard]] class, so a
-// call whose result is dropped is a hard error.  bearlint BL001 is
-// the style-level twin of this check; this file proves the compiler
-// backstop cannot erode unnoticed.
+// call whose result is dropped is a hard error.  The root
+// CMakeLists.txt adds the same flag to every build; this file proves
+// [[nodiscard]] on Expected cannot erode unnoticed.
 #include "common/expected.hh"
 
 namespace

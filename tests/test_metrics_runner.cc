@@ -335,24 +335,6 @@ TEST(RunnerOptions, FaultSpecValidatedAtParseTime)
     unsetenv("BEAR_FAULT");
 }
 
-TEST(RunnerOptions, RetriesBounded)
-{
-    setenv("BEAR_RETRIES", "0", 1);
-    const auto zero = RunnerOptions::tryFromEnv();
-    ASSERT_FALSE(zero.hasValue());
-    EXPECT_EQ(zero.error().variable, "BEAR_RETRIES");
-    EXPECT_NE(zero.error().message().find("1..16"), std::string::npos);
-
-    setenv("BEAR_RETRIES", "17", 1);
-    EXPECT_FALSE(RunnerOptions::tryFromEnv().hasValue());
-
-    setenv("BEAR_RETRIES", "5", 1);
-    const auto ok = RunnerOptions::tryFromEnv();
-    ASSERT_TRUE(ok.hasValue());
-    EXPECT_EQ(ok->retries, 5u);
-    unsetenv("BEAR_RETRIES");
-}
-
 TEST(RunnerOptions, JournalPathReadFromEnv)
 {
     setenv("BEAR_JOURNAL", "/tmp/bear-test.journal", 1);
@@ -375,12 +357,11 @@ TEST(RunnerOptions, FingerprintCoversModelNotExecutionKnobs)
     b.seed = a.seed + 1;
     EXPECT_NE(a.fingerprint(), b.fingerprint());
 
-    // ...while execution knobs (workers, timeout, retries, journal
-    // path itself) do not: a resume may legally use different ones.
+    // ...while execution knobs (workers, timeout, journal path,
+    // fault spec) do not: a resume may legally use different ones.
     b = a;
     b.workers = 1;
     b.jobTimeoutSeconds = 5.0;
-    b.retries = 1;
     b.journalPath = "/elsewhere.journal";
     b.faultSpec = "throw@job.setup";
     EXPECT_EQ(a.fingerprint(), b.fingerprint());

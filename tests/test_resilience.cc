@@ -312,14 +312,13 @@ TEST(Retry, ExhaustedRetriesSurfaceAsTraceIoError)
     RunnerOptions options = fastOptions();
     options.traceOutPath = path;
     options.faultSpec = "trace-io@trace.write:p=1"; // every attempt
-    options.retries = 2;
     Runner runner(options);
     RunJob job;
     job.rateBenchmark = "wrf";
     const RunOutcome outcome = runner.tryRun(job);
     ASSERT_FALSE(outcome.hasValue());
     EXPECT_EQ(outcome.error().kind, RunErrorKind::TraceIo);
-    EXPECT_EQ(outcome.error().attempts, 2u);
+    EXPECT_EQ(outcome.error().attempts, 3u);
     std::remove(path.c_str());
 }
 

@@ -459,6 +459,107 @@ TEST(TraceCorruption, GarbageChunkHeaderIsBadChunkNotCrash)
 namespace
 {
 
+/**
+ * Replace chunk @p index of the trace file in @p bytes with a frame
+ * carrying @p payload under a header that claims @p records records,
+ * resealed with a fresh CRC so only the record decoder can object.
+ * Returns the frame's byte offset.
+ */
+std::uint64_t
+rewriteChunkPayload(std::vector<char> &bytes, std::uint64_t header_size,
+                    std::size_t index, std::uint32_t records,
+                    const std::vector<std::uint8_t> &payload)
+{
+    const auto frameAt = [&](std::uint64_t offset) {
+        return reinterpret_cast<const std::uint8_t *>(bytes.data()
+                                                      + offset);
+    };
+    std::uint64_t offset = header_size;
+    for (std::size_t i = 0; i < index; ++i)
+        offset += kChunkHeaderBytes + getU32(frameAt(offset) + 8)
+            + kChunkCrcBytes;
+    const std::uint64_t old_frame = kChunkHeaderBytes
+        + getU32(frameAt(offset) + 8) + kChunkCrcBytes;
+
+    std::vector<std::uint8_t> frame;
+    putU32(frame, getU32(frameAt(offset))); // core id
+    putU32(frame, records);
+    putU32(frame, static_cast<std::uint32_t>(payload.size()));
+    frame.insert(frame.end(), payload.begin(), payload.end());
+    putU32(frame, crc32(frame.data(), frame.size()));
+
+    const auto at = static_cast<std::ptrdiff_t>(offset);
+    bytes.erase(bytes.begin() + at,
+                bytes.begin() + at
+                    + static_cast<std::ptrdiff_t>(old_frame));
+    bytes.insert(bytes.begin() + at, frame.begin(), frame.end());
+    return offset;
+}
+
+/** One encoded record: flags byte, vaddr and PC deltas, then gap. */
+std::vector<std::uint8_t>
+encodedRecord(std::uint8_t flags, std::uint64_t gap)
+{
+    std::vector<std::uint8_t> out{flags};
+    putVarint(out, zigzag(64));
+    putVarint(out, zigzag(4));
+    putVarint(out, gap);
+    return out;
+}
+
+} // namespace
+
+TEST(TraceCorruption, ChunkPayloadRejectionsNameTheChunk)
+{
+    // Every payload below passes the frame checks and a valid CRC, so
+    // each of the decoder's five BadChunk branches must catch it.
+    const std::string sample = writeSampleTrace("payload", 2, 100);
+    const std::vector<char> bytes = slurp(sample);
+    auto opened = TraceReader::open(sample);
+    ASSERT_TRUE(opened.hasValue());
+    const std::uint64_t header_size = kHeaderFixedBytes
+        + opened.value().meta().workload.size() + kChunkCrcBytes;
+
+    std::vector<std::uint8_t> trailing = encodedRecord(0, 1);
+    trailing.push_back(0);
+    struct Case
+    {
+        std::uint32_t records;
+        std::vector<std::uint8_t> payload;
+        const char *detail;
+    };
+    const Case cases[] = {
+        {2, encodedRecord(0, 1), "payload ends after 1 of 2 records"},
+        {1, encodedRecord(0x04, 1), "reserved flag bits set in record 0"},
+        // A continuation bit with no byte after it.
+        {1, {0x00, 0x80}, "malformed varint in record 0"},
+        {1, encodedRecord(0, 1ULL << 32),
+         "instruction gap overflows 32 bits in record 0"},
+        {1, trailing, "1 trailing bytes after the last record"},
+    };
+    const std::string path = tempPath("payload-bad");
+    for (const Case &c : cases) {
+        std::vector<char> mutated = bytes;
+        const std::uint64_t offset =
+            rewriteChunkPayload(mutated, header_size, 1, c.records,
+                                c.payload);
+        spit(path, mutated);
+        std::uint64_t records = 0;
+        auto r = decodeAll(path, &records);
+        ASSERT_FALSE(r.hasValue()) << c.detail;
+        EXPECT_EQ(r.error().kind, TraceErrorKind::BadChunk)
+            << r.error().message();
+        EXPECT_EQ(r.error().chunk, 1) << r.error().message();
+        EXPECT_EQ(r.error().offset, offset) << r.error().message();
+        EXPECT_NE(r.error().message().find(c.detail), std::string::npos)
+            << r.error().message();
+        EXPECT_EQ(records, 100u) << c.detail; // chunk 0 decodes whole
+    }
+}
+
+namespace
+{
+
 RunnerOptions
 fastOptions()
 {

@@ -7,11 +7,6 @@
  * every C++ file under src/, tools/, bench/, tests/ and examples/ and
  * checks:
  *
- *   BL001 discarded-expected  a call to a function returning
- *         Expected<_,E> (or an alias like RunOutcome) whose result is
- *         dropped at statement level.  Complements the compiler's
- *         [[nodiscard]] warning: bearlint makes it a hard CI failure
- *         and also covers builds where warnings are not errors.
  *   BL002 raw-unit-arith      additive arithmetic on a shed unit
  *         count (`q.count() + ...`) outside the unit seams
  *         (common/units.hh, common/types.hh).  Same-dimension sums
@@ -42,13 +37,6 @@
  *         memmoves the tail on the per-access timing path.  The O(1)
  *         channel-model port (DESIGN.md §15) removed every such
  *         shift; hot-path queues use circular indices instead.
- *   BL008 raw-socket-io       socket(2)-family and blocking-I/O
- *         calls (socket/bind/listen/accept/connect, the send and
- *         recv families, poll/select/epoll) outside src/serve/.  The
- *         serve layer
- *         owns every file descriptor and its error handling
- *         (DESIGN.md §16); a stray blocking recv elsewhere is an
- *         unkillable thread the drain logic cannot see.
  *
  * Diagnostics are machine-readable (`file:line: [BL###] message`) and
  * suppressible per line with `// bearlint-allow(BL###)` on the same
@@ -57,12 +45,12 @@
  * runs the golden violation corpus (tools/bearlint/corpus) and
  * verifies the exact diagnostic set.
  *
- * Being lexical, the analyzer is deliberately conservative: BL001
- * resolves callees by name (static factories are matched only behind
- * a `Class::` qualifier, so std::ofstream::open is never confused
- * with TraceReader::open), and anything it cannot prove discarded is
- * not reported.  The compiler-side [[nodiscard]] attribute remains
- * the ground truth; bearlint is the gate that keeps the tree at zero.
+ * Retired rule IDs are never reused.  A discarded Expected result,
+ * once BL001, is a compile error: every build adds
+ * -Werror=unused-result and Expected is [[nodiscard]].
+ *
+ * Being lexical, the analyzer is deliberately conservative: anything
+ * it cannot prove a violation is not reported.
  */
 
 #include <algorithm>
@@ -100,8 +88,6 @@ struct RuleInfo
 };
 
 const RuleInfo kRules[] = {
-    {"BL001", "discarded-expected",
-     "result of an Expected-returning call is silently dropped"},
     {"BL002", "raw-unit-arith",
      "additive arithmetic on a shed unit .count() outside "
      "common/units.hh / common/types.hh"},
@@ -120,9 +106,6 @@ const RuleInfo kRules[] = {
     {"BL007", "hot-path-shift",
      "erase/insert at begin() inside src/mem/ or src/dramcache/ "
      "(O(n) memmove per access; use a circular index / ring buffer)"},
-    {"BL008", "raw-socket-io",
-     "socket(2)-family / blocking-I/O call outside src/serve/ (the "
-     "serve layer owns all socket descriptors; DESIGN.md §16)"},
 };
 
 // ---------------------------------------------------------------------
@@ -542,181 +525,6 @@ skipTemplateArgs(const std::vector<Token> &t, long idx)
 }
 
 // ---------------------------------------------------------------------
-// BL001 — discarded Expected results
-// ---------------------------------------------------------------------
-
-struct ExpectedFn
-{
-    bool isStatic = false; ///< matched only behind a Class:: qualifier
-    /** A same-named `void name(` declaration exists somewhere, so a
-     *  bare call is ambiguous; match only behind `.`/`->`/`::`. */
-    bool ambiguous = false;
-};
-
-/**
- * Collect the names of Expected-returning functions declared anywhere
- * in the scanned tree, plus type aliases of Expected (RunOutcome).
- */
-struct ExpectedIndex
-{
-    std::set<std::string> typeNames{"Expected"};
-    std::map<std::string, ExpectedFn> fns;
-};
-
-void
-collectExpectedDecls(const std::vector<FileData> &files,
-                     ExpectedIndex &index)
-{
-    // Aliases first (iterate to a fixpoint so aliases of aliases
-    // resolve regardless of declaration order across files).
-    bool grew = true;
-    while (grew) {
-        grew = false;
-        for (const FileData &fd : files) {
-            const auto &t = fd.toks;
-            for (long i = 0;
-                 i + 3 < static_cast<long>(t.size()); ++i) {
-                if (t[i].text == "using" && t[i + 1].kind == 'i'
-                    && t[i + 2].text == "="
-                    && index.typeNames.find(t[i + 3].text)
-                        != index.typeNames.end()) {
-                    grew |= index.typeNames.insert(t[i + 1].text)
-                                .second;
-                }
-            }
-        }
-    }
-
-    // Declarations: `[static] TypeName[<...>] name (`.
-    for (const FileData &fd : files) {
-        const auto &t = fd.toks;
-        for (long i = 0; i < static_cast<long>(t.size()); ++i) {
-            if (t[i].kind != 'i'
-                || index.typeNames.find(t[i].text)
-                    == index.typeNames.end())
-                continue;
-            long j = i + 1;
-            if (j < static_cast<long>(t.size()) && t[j].text == "<") {
-                j = skipTemplateArgs(t, j);
-                if (j < 0)
-                    continue;
-            }
-            if (j + 1 >= static_cast<long>(t.size()))
-                continue;
-            if (t[j].kind != 'i' || t[j + 1].text != "(")
-                continue;
-            // Specifier window before the return type: static?
-            bool isStatic = false;
-            for (long k = i - 1; k >= 0 && k >= i - 6; --k) {
-                const std::string &s = t[k].text;
-                if (s == "static") {
-                    isStatic = true;
-                    break;
-                }
-                if (s != "[" && s != "]" && s != "nodiscard"
-                    && s != "inline" && s != "constexpr"
-                    && s != "friend" && s != "virtual"
-                    && s != "explicit")
-                    break;
-            }
-            auto [it, inserted] =
-                index.fns.emplace(t[j].text, ExpectedFn{});
-            if (inserted)
-                it->second.isStatic = isStatic;
-            else
-                it->second.isStatic &= isStatic;
-        }
-    }
-
-    // Demote names that are also declared returning void (e.g. the
-    // variadic log-formatting append() vs TraceWriter::append): a
-    // bare call can no longer be attributed, so only qualified or
-    // member-syntax calls are matched for them.
-    for (const FileData &fd : files) {
-        const auto &t = fd.toks;
-        for (long i = 0; i + 2 < static_cast<long>(t.size()); ++i) {
-            if (t[i].text != "void" || t[i + 2].text != "(")
-                continue;
-            const auto it = index.fns.find(t[i + 1].text);
-            if (it != index.fns.end())
-                it->second.ambiguous = true;
-        }
-    }
-}
-
-void
-checkDiscardedExpected(const FileData &fd, const ExpectedIndex &index,
-                       Reporter &out)
-{
-    const auto &t = fd.toks;
-    for (long i = 0; i < static_cast<long>(t.size()); ++i) {
-        if (t[i].kind != 'i')
-            continue;
-        const auto fn = index.fns.find(t[i].text);
-        if (fn == index.fns.end())
-            continue;
-        if (i + 1 >= static_cast<long>(t.size())
-            || t[i + 1].text != "(")
-            continue;
-
-        const std::string prev = i > 0 ? t[i - 1].text : std::string();
-        if (fn->second.isStatic) {
-            // Static factories only match behind `Class::`, so a
-            // same-named member elsewhere (std::ofstream::open) can
-            // never be confused with the Expected-returning one.
-            if (prev != "::")
-                continue;
-        } else {
-            if (fn->second.ambiguous && prev != "::" && prev != "."
-                && prev != "->")
-                continue;
-            // Skip declaration-looking occurrences: preceded by the
-            // return type (`>`/ident) or attribute `]`.
-            if (prev == ">" || prev == "]")
-                continue;
-            if (i > 0 && t[i - 1].kind == 'i' && prev != "return"
-                && prev != "else" && prev != "do" && prev != "throw"
-                && prev != "case")
-                continue;
-        }
-
-        const long close = matchForward(t, i + 1);
-        if (close < 0
-            || close + 1 >= static_cast<long>(t.size())
-            || t[close + 1].text != ";")
-            continue; // result feeds an expression or initializer
-
-        const long before = chainStart(t, i);
-        bool discarded = false;
-        if (before < 0) {
-            discarded = true;
-        } else {
-            const std::string &b = t[before].text;
-            if (b == ";" || b == "{" || b == "}" || b == "else"
-                || b == "do" || b == ":") {
-                discarded = true;
-            } else if (b == ")") {
-                // `if (...) call();` discards; `(void) call();` and
-                // other casts are an explicit, intentional drop.
-                const long open = matchBackward(t, before);
-                if (open > 0) {
-                    const std::string &head = t[open - 1].text;
-                    if (head == "if" || head == "while" || head == "for"
-                        || head == "switch")
-                        discarded = true;
-                }
-            }
-        }
-        if (discarded) {
-            out.report(fd, t[i].line, "BL001",
-                       "result of Expected-returning '" + t[i].text
-                           + "()' is discarded; check it or cast "
-                             "to (void) deliberately");
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // BL002 — additive arithmetic on shed unit counts
 // ---------------------------------------------------------------------
 
@@ -1043,59 +851,6 @@ checkHotPathShift(const FileData &fd, Reporter &out)
 }
 
 // ---------------------------------------------------------------------
-// BL008 — raw socket / blocking I/O outside the serve layer
-// ---------------------------------------------------------------------
-
-/**
- * beard's daemon loop (src/serve/, DESIGN.md §16) is the only place a
- * socket descriptor may be created or blocked on: its recv timeouts,
- * poll ticks and drain logic are what make every blocking call
- * interruptible.  A raw recv() elsewhere is a thread the drain cannot
- * wake.  read()/write() are deliberately not banned — the simulator's
- * own DramCache::read would drown the rule in false positives — so
- * the gate is the calls that create or service sockets.
- */
-void
-checkRawSocketIo(const FileData &fd, Reporter &out)
-{
-    if (fd.display.find("src/serve/") != std::string::npos)
-        return;
-    static const std::set<std::string> kBanned = {
-        "socket", "bind", "listen", "accept", "accept4", "connect",
-        "recv", "recvfrom", "recvmsg", "send", "sendto", "sendmsg",
-        "setsockopt", "getsockopt", "shutdown", "poll", "ppoll",
-        "select", "pselect", "epoll_create", "epoll_create1",
-        "epoll_ctl", "epoll_wait"};
-    const auto &t = fd.toks;
-    for (long i = 0; i < static_cast<long>(t.size()); ++i) {
-        if (t[i].kind != 'i'
-            || kBanned.find(t[i].text) == kBanned.end())
-            continue;
-        if (i + 1 >= static_cast<long>(t.size())
-            || t[i + 1].text != "(")
-            continue;
-        const std::string prev = i > 0 ? t[i - 1].text : std::string();
-        if (prev == "." || prev == "->")
-            continue; // a member of ours, not the libc call
-        if (prev == "::") {
-            // `::bind(` at global scope is the libc call; a
-            // namespace-qualified `util::bind(` is someone else's.
-            if (i >= 2
-                && (t[i - 2].kind == 'i' || t[i - 2].text == ">"))
-                continue;
-        } else if (i > 0 && t[i - 1].kind == 'i' && prev != "return"
-                   && prev != "else" && prev != "do"
-                   && prev != "case") {
-            continue; // `int socket(...)` — a declaration
-        }
-        out.report(fd, t[i].line, "BL008",
-                   "raw socket / blocking-I/O call '" + t[i].text
-                       + "()' outside src/serve/; route it through "
-                         "the serve layer (DESIGN.md §16)");
-    }
-}
-
-// ---------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------
 
@@ -1190,17 +945,13 @@ loadFile(const fs::path &path, const fs::path &root, FileData &fd)
 void
 runRules(const std::vector<FileData> &files, Reporter &out)
 {
-    ExpectedIndex index;
-    collectExpectedDecls(files, index);
     for (const FileData &fd : files) {
-        checkDiscardedExpected(fd, index, out);
         checkRawUnitArith(fd, out);
         checkNakedMutex(fd, out);
         checkNondeterminism(fd, out);
         checkHeaderHygiene(fd, out);
         checkPrivateTagArray(fd, out);
         checkHotPathShift(fd, out);
-        checkRawSocketIo(fd, out);
     }
 }
 

@@ -1,16 +1,6 @@
 // Golden corpus: a clean file — no diagnostics expected.  Exercises
-// the lexer's corners: raw strings, char literals, comments that
-// mention std::mutex and rand() without using them, and consumed
-// Expected results.
-
-template <typename T, typename E>
-class Expected
-{
-};
-
-using CleanOutcome = Expected<int, int>;
-
-CleanOutcome tryClean(int job);
+// the lexer's corners: raw strings, char literals, and comments that
+// mention std::mutex and rand() without using them.
 
 const char *kDoc = R"doc(
     std::mutex rand() system_clock  — inert inside a raw string,
@@ -20,9 +10,6 @@ const char *kDoc = R"doc(
 int
 consume()
 {
-    auto r = tryClean(1);
-    (void)r;
-    (void)tryClean(2);
     char quote = '\'';
     const char *s = "std::lock_guard<std::mutex> in a string";
     return quote + (s != nullptr ? 1 : 0);

@@ -1,12 +1,6 @@
 // Golden corpus: every violation here carries a bearlint-allow
 // marker, so no diagnostics are expected from this file.
-
-template <typename T, typename E>
-class Expected
-{
-};
-
-Expected<int, int> trySupp(int job);
+#include <cstdlib>
 
 struct Q
 {
@@ -16,10 +10,10 @@ struct Q
 long
 suppressed(const Q &a, const Q &b)
 {
-    trySupp(1); // bearlint-allow(BL001)
-    // bearlint-allow(BL001)
-    trySupp(2);
-    // bearlint-allow(BL002, BL001)
+    long r = rand(); // bearlint-allow(BL004)
+    // bearlint-allow(BL004)
+    srand(7);
+    // bearlint-allow(BL004, BL002)
     long s = a.count() + b.count();
-    return s;
+    return r + s;
 }

@@ -128,14 +128,6 @@ class ToolArgs
         return positional_.front();
     }
 
-    /** `--name value` as a string, or @p fallback when absent. */
-    std::string
-    stringOr(const std::string &name, const std::string &fallback) const
-    {
-        const auto it = options_.find(name);
-        return it == options_.end() ? fallback : it->second;
-    }
-
     /** `--name value` as an unsigned integer; exits(2) on non-numbers. */
     std::uint64_t
     u64Or(const std::string &name, std::uint64_t fallback) const
