@@ -23,7 +23,7 @@ main()
         "cycles; speedup order OPT > AL > LH",
         options);
 
-    const auto jobs = allJobs(DesignKind::NoCache);
+    const auto jobs = allJobs(DesignKind::NoCache, options);
     const Comparison cmp = compareDesigns(
         runner, jobs, DesignKind::NoCache,
         {DesignKind::LohHill, DesignKind::Alloy,

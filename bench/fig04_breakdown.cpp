@@ -26,7 +26,7 @@ main()
         "WbProbe 0.57, WbUpdate 0.57); BW-Opt 1.0x; potential +22%",
         options);
 
-    const auto jobs = allJobs(DesignKind::Alloy);
+    const auto jobs = allJobs(DesignKind::Alloy, options);
     const Comparison cmp = compareDesigns(runner, jobs, DesignKind::Alloy,
                                           {DesignKind::BwOptimized});
 

@@ -23,7 +23,7 @@ main()
         "BEAR +10.1% over Alloy (ALL54 geomean); BW-Opt ~+22%",
         options);
 
-    const auto jobs = allJobs(DesignKind::Alloy);
+    const auto jobs = allJobs(DesignKind::Alloy, options);
     const Comparison cmp = compareDesigns(
         runner, jobs, DesignKind::Alloy,
         {DesignKind::Bear, DesignKind::BwOptimized});

@@ -62,7 +62,7 @@ main()
         "MissFill, DCP targets WbProbe, NTC targets MissProbe",
         options);
 
-    const auto jobs = allJobs(DesignKind::Alloy);
+    const auto jobs = allJobs(DesignKind::Alloy, options);
     const Comparison cmp = compareDesigns(
         runner, jobs, DesignKind::Alloy,
         {DesignKind::Bab, DesignKind::BabDcp, DesignKind::Bear,

@@ -31,7 +31,7 @@ main()
         "rate 68% vs Alloy 63%; SRAM cost 20KB vs 64MB vs 6MB",
         options);
 
-    const auto jobs = allJobs(DesignKind::Alloy);
+    const auto jobs = allJobs(DesignKind::Alloy, options);
     const Comparison cmp = compareDesigns(
         runner, jobs, DesignKind::Alloy,
         {DesignKind::Bear, DesignKind::TagsInSram,

@@ -25,7 +25,7 @@ main()
         "order BEAR > Incl-Alloy > Alloy > MC > LH",
         options);
 
-    const auto jobs = allJobs(DesignKind::NoCache);
+    const auto jobs = allJobs(DesignKind::NoCache, options);
     const Comparison cmp = compareDesigns(
         runner, jobs, DesignKind::NoCache,
         {DesignKind::LohHill, DesignKind::MostlyClean, DesignKind::Alloy,

@@ -24,7 +24,7 @@ main()
         "391->356; average 326->282",
         options);
 
-    const auto jobs = allJobs(DesignKind::Alloy);
+    const auto jobs = allJobs(DesignKind::Alloy, options);
     const Comparison cmp =
         compareDesigns(runner, jobs, DesignKind::Alloy, {DesignKind::Bear});
 

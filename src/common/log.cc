@@ -63,8 +63,7 @@ warnImpl(const std::string &msg)
 void
 informImpl(const std::string &msg)
 {
-    std::fprintf(stdout, "info: %s\n", msg.c_str());
-    std::fflush(stdout);
+    std::fprintf(stderr, "info: %s\n", msg.c_str());
 }
 
 } // namespace bear

@@ -8,6 +8,10 @@
  *            (bad configuration, invalid arguments).  Exits with code 1.
  * warn()   — something is suspicious but the run continues.
  * inform() — plain status output.
+ *
+ * All four write to stderr, so a program's stdout carries only its
+ * results (a resumed or recording sweep prints the same table as a
+ * clean one).
  */
 
 #ifndef BEAR_COMMON_LOG_HH

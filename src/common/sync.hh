@@ -38,7 +38,6 @@
 #ifndef BEAR_COMMON_SYNC_HH
 #define BEAR_COMMON_SYNC_HH
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <utility>
@@ -136,16 +135,6 @@ class CondVar
     wait(MutexLock &lock, Predicate pred)
     {
         cv_.wait(lock.lock_, std::move(pred));
-    }
-
-    /** @return the predicate's value on wake-up (false = timed out). */
-    template <typename Rep, typename Period, typename Predicate>
-    bool
-    waitFor(MutexLock &lock,
-            const std::chrono::duration<Rep, Period> &duration,
-            Predicate pred)
-    {
-        return cv_.wait_for(lock.lock_, duration, std::move(pred));
     }
 
   private:

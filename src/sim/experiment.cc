@@ -125,11 +125,8 @@ compareDesigns(Runner &runner, const std::vector<RunJob> &jobs,
     if (!cmp.failures.empty()) {
         bear_warn(cmp.failures.size(), " of ", outcomes.size(),
                   " cells failed; the table below is partial");
-        for (const RunError &err : cmp.failures) {
+        for (const RunError &err : cmp.failures)
             bear_warn("  ", err.message());
-            if (!err.diagnostics.empty())
-                bear_warn("    diagnostics: ", err.diagnostics);
-        }
     }
 
     // Machine-readable mirror of the printed tables (BEAR_JSON=path).

@@ -1,17 +1,16 @@
 /**
  * @file
- * Cooperative cancellation and forward-progress accounting for one
- * simulation job.
+ * Cooperative cancellation of simulation jobs on SIGINT/SIGTERM.
  *
- * A JobControl is shared between the worker thread executing a job and
- * the runner's monitor thread.  The worker publishes progress (the
- * count of simulated references, added a block of up to 1024 at a
- * time) and the phase it is in; the monitor watches progress and
- * requests cancellation when it stops advancing for longer than the
- * watchdog timeout, or when the process received SIGINT/SIGTERM.  The
- * simulation loop checkpoints the cancel flag once per block, so a
- * cancelled job unwinds within a millisecond of the request — a hang
- * becomes a structured timeout failure instead of a stuck worker pool.
+ * The Runner installs a handler that records the first SIGINT/SIGTERM
+ * in g_interrupt_signal.  A System whose config carries a JobControl
+ * reads that flag once per block of System::kControlBlock (1024)
+ * simulated references and unwinds as JobCancelled once it is set, so
+ * a ^C drains a running sweep within a millisecond, with no thread
+ * watching the jobs.
+ *
+ * perfbench's traced copy of System::run (ROADMAP item 1) names the
+ * members marked below, and only that copy uses them.
  */
 
 #ifndef BEAR_SIM_JOB_CONTROL_HH
@@ -24,55 +23,52 @@
 namespace bear
 {
 
+/**
+ * The first SIGINT/SIGTERM this process received; 0 while none has.
+ * Only the Runner's signal handler writes it, which is safe because the
+ * store is a lock-free atomic one.
+ */
+inline std::atomic<int> g_interrupt_signal{0};
+static_assert(std::atomic<int>::is_always_lock_free,
+              "a signal handler may only store to a lock-free atomic");
+
 /** Why a job was asked to stop. */
 enum class CancelReason : std::uint8_t
 {
     None = 0,
-    Timeout,   ///< watchdog: no forward progress within the deadline
     Interrupt, ///< SIGINT/SIGTERM: the whole sweep is shutting down
 };
 
-/** Shared state between one job's worker and the monitor thread. */
+/** Opts a System into cancellation checkpoints. */
 struct JobControl
 {
-    /** Simulated references retired or about to run in the current
-     *  block; advancing proves liveness. */
+    /** Kept only for perfbench's traced copy, which counts its
+     *  references here; nothing reads it. */
     std::atomic<std::uint64_t> progress{0};
 
-    std::atomic<CancelReason> cancel{CancelReason::None};
-
-    /** Phase label for diagnostics; stores string literals only. */
-    std::atomic<const char *> phase{"setup"};
-
-    /** First cancellation reason wins (interrupt vs timeout race). */
-    void
-    requestCancel(CancelReason reason)
-    {
-        CancelReason expected = CancelReason::None;
-        cancel.compare_exchange_strong(expected, reason,
-                                       std::memory_order_relaxed);
-    }
-
+    /** Inline and one relaxed load: perfbench's traced copy calls it
+     *  on every reference. */
     CancelReason
     cancelReason() const
     {
-        return cancel.load(std::memory_order_relaxed);
+        return g_interrupt_signal.load(std::memory_order_relaxed) != 0
+            ? CancelReason::Interrupt
+            : CancelReason::None;
     }
 
-    void setPhase(const char *name) { phase.store(name); }
-    const char *phaseName() const { return phase.load(); }
+    /** Kept only for perfbench's traced copy; a no-op. */
+    void setPhase(const char *) {}
 };
 
 /**
- * Thrown at a cancellation checkpoint (System::run, a stalled fault
- * site) once a cancel request is observed.  The layer that still has
- * the System in scope attaches diagnostics (event-trace tail, per-bank
- * state) on the way out; the runner converts the whole thing into a
- * RunError.
+ * Thrown at a cancellation checkpoint once a cancel is requested; the
+ * runner turns it into an `interrupted` RunError.
  */
 struct JobCancelled
 {
-    CancelReason reason = CancelReason::Timeout;
+    CancelReason reason = CancelReason::Interrupt;
+    /** Kept only for perfbench's traced copy, which throws
+     *  `JobCancelled{why, {}}`; always empty. */
     std::string diagnostics;
 };
 

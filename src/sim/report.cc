@@ -204,8 +204,6 @@ comparisonToJson(const std::string &experiment,
             json.field("kind", runErrorKindName(err.kind));
             json.field("phase", jobPhaseName(err.phase));
             json.field("what", err.what);
-            json.field("attempts",
-                       static_cast<std::uint64_t>(err.attempts));
             json.endObject();
         }
         json.endArray();

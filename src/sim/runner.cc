@@ -4,17 +4,14 @@
 #include <atomic>
 #include <bit>
 #include <cerrno>
-#include <chrono>
 #include <cmath>
+#include <csignal>
 #include <cstdlib>
 #include <new>
-#include <optional>
 #include <sstream>
-#include <stdexcept>
+#include <thread>
 
-#include "common/fault.hh"
 #include "common/log.hh"
-#include "sim/single_run.hh"
 #include "trace/trace_reader.hh"
 #include "trace/trace_writer.hh"
 
@@ -33,17 +30,6 @@ namespace
 constexpr std::uint64_t kMaxRefsPerCore = 1ULL << 40;
 constexpr std::uint64_t kMaxWorkers = 4096;
 constexpr std::uint64_t kMaxEventTraceCapacity = 1ULL << 24;
-constexpr double kMaxJobTimeoutSeconds = 86400.0;
-
-/**
- * Executions of a job before a transient failure (trace I/O) becomes
- * its final error.  Retries back off deterministically (10ms <<
- * attempt); non-transient failures never retry.
- */
-constexpr std::uint32_t kTraceIoAttempts = 3;
-
-/** Watchdog/interrupt poll period; bounds cancellation latency. */
-constexpr std::chrono::milliseconds kMonitorTick{20};
 
 /**
  * Strict full-string parsers: the whole value must be consumed, so
@@ -152,82 +138,42 @@ envNonEmptyString(const char *name, std::string &out)
 }
 
 /**
- * Carries a failed IPC_alone reference run out of a mix job's
- * execute(); the catch layer re-attributes it to the mix cell with
- * phase = IpcAlone.
+ * SIGINT/SIGTERM land here: record the signal and restore the default
+ * disposition, so a second ^C force-kills instead of waiting for the
+ * drain.  Only the async-signal-safe store happens in handler
+ * context; running jobs see the flag at their next System::run
+ * checkpoint, the unwinding workers seal any partial trace, and
+ * journals are already flushed per append — nothing computed is lost.
  */
-struct AloneFailed
+extern "C" void
+bearSignalHandler(int sig)
 {
-    RunError error;
-};
-
-/**
- * Act on a fired fault clause at a runner-level site.  Throwing kinds
- * unwind into the containment layer; a stall burns wall-clock without
- * advancing progress until the watchdog (or a signal) cancels it —
- * exactly the failure mode BEAR_JOB_TIMEOUT exists to catch.
- */
-void
-actOnFault(fault::FaultKind kind, const char *site, JobControl &control)
-{
-    switch (kind) {
-    case fault::FaultKind::Throw:
-        throw std::runtime_error(
-            detail::format("injected fault at ", site));
-    case fault::FaultKind::Panic:
-        bear_panic("injected fault at ", site);
-    case fault::FaultKind::Alloc:
-        throw std::bad_alloc();
-    case fault::FaultKind::Stall:
-        control.setPhase("stalled");
-        while (control.cancelReason() == CancelReason::None)
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        throw JobCancelled{
-            control.cancelReason(),
-            detail::format("stalled by injected fault at ", site)};
-    case fault::FaultKind::TraceIo:
-        // Meaningful only inside the trace writer; a runner-level
-        // trace-io clause is a spec mistake, surfaced loudly.
-        bear_warn("BEAR_FAULT: trace-io fired at runner site ", site,
-                  "; only trace.* sites honour it");
-        break;
-    }
-}
-
-/** Evaluate @p site for @p scope and act if a clause fires. */
-void
-checkFaultSite(const char *site, const std::string &scope,
-               JobControl &control)
-{
-    auto &inj = fault::injector();
-    if (!inj.armed())
-        return;
-    if (auto kind = inj.evaluate(site, scope))
-        actOnFault(*kind, site, control);
+    g_interrupt_signal.store(sig, std::memory_order_relaxed);
+    std::signal(sig, SIG_DFL);
 }
 
 /**
- * Releases the shared trace-recording claim if the claiming job dies,
- * so a retried (or later) job can record instead of the whole sweep
- * silently losing its trace.
+ * The paper's methodology for one run: build a System over @p streams
+ * (one per core), warm up, reset statistics, measure.  @p phase
+ * follows the run, so a failure is attributed to the right phase.
  */
-class ClaimGuard
+SystemStats
+runPhases(SystemConfig config,
+          std::vector<std::unique_ptr<RefStream>> streams,
+          const RunnerOptions &options, JobPhase &phase)
 {
-  public:
-    explicit ClaimGuard(std::atomic<bool> &flag) : flag_(flag) {}
-
-    ~ClaimGuard()
-    {
-        if (active_)
-            flag_.store(false);
-    }
-
-    void commit() { active_ = false; }
-
-  private:
-    std::atomic<bool> &flag_;
-    bool active_ = true;
-};
+    bear_assert(streams.size() == config.cores,
+                "need one reference stream per core");
+    JobControl control;
+    config.control = &control;
+    System system(config, std::move(streams));
+    phase = JobPhase::Warmup;
+    system.run(options.warmupRefsPerCore);
+    system.resetStats();
+    phase = JobPhase::Measure;
+    system.run(options.measureRefsPerCore);
+    return system.stats();
+}
 
 } // namespace
 
@@ -259,8 +205,6 @@ runErrorKindName(RunErrorKind kind)
     switch (kind) {
     case RunErrorKind::Contained:
         return "contained";
-    case RunErrorKind::Timeout:
-        return "timeout";
     case RunErrorKind::Interrupted:
         return "interrupted";
     case RunErrorKind::TraceIo:
@@ -272,12 +216,33 @@ runErrorKindName(RunErrorKind kind)
 std::string
 RunError::message() const
 {
-    std::string m = detail::format(design, '/', workload, " failed [",
-                                   runErrorKindName(kind), "] during ",
-                                   jobPhaseName(phase), ": ", what);
-    if (attempts > 1)
-        m += detail::format(" (after ", attempts, " attempts)");
-    return m;
+    return detail::format(design, '/', workload, " failed [",
+                          runErrorKindName(kind), "] during ",
+                          jobPhaseName(phase), ": ", what);
+}
+
+RunError
+classifyFailure(std::exception_ptr failure)
+{
+    RunError err;
+    try {
+        std::rethrow_exception(failure);
+    } catch (const ContainedFailure &contained) {
+        err.what = contained.message;
+    } catch (const JobCancelled &) {
+        err.kind = RunErrorKind::Interrupted;
+        err.what = "interrupted (SIGINT/SIGTERM)";
+    } catch (const trace::TraceIoFailure &io) {
+        err.kind = RunErrorKind::TraceIo;
+        err.what = io.error.message();
+    } catch (const std::bad_alloc &) {
+        err.what = "allocation failure (std::bad_alloc)";
+    } catch (const std::exception &e) {
+        err.what = e.what();
+    } catch (...) {
+        err.what = "unknown exception";
+    }
+    return err;
 }
 
 Expected<RunnerOptions, EnvError>
@@ -329,29 +294,15 @@ RunnerOptions::tryFromEnv()
     if (!r)
         return unexpected(r.error());
 
-    r = envOverride("BEAR_JOB_TIMEOUT", options.jobTimeoutSeconds,
-                    +[](const double &v) {
-                        return v > 0.0 && v <= kMaxJobTimeoutSeconds
-                            ? nullptr
-                            : "timeout must be in (0, 86400] seconds";
-                    });
-    if (!r)
-        return unexpected(r.error());
-
     r = envNonEmptyString("BEAR_JOURNAL", options.journalPath);
     if (!r)
         return unexpected(r.error());
 
-    r = envNonEmptyString("BEAR_FAULT", options.faultSpec);
+    std::uint64_t all54 = 0;
+    r = envU64InRange("BEAR_ALL54", all54, 1);
     if (!r)
         return unexpected(r.error());
-    if (!options.faultSpec.empty()) {
-        auto plan = fault::parseFaultSpec(options.faultSpec);
-        if (!plan.hasValue()) {
-            return unexpected(EnvError{"BEAR_FAULT", options.faultSpec,
-                                       plan.error()});
-        }
-    }
+    options.allMixes = all54 != 0;
 
     return options;
 }
@@ -392,51 +343,13 @@ RunnerOptions::fingerprint() const
     return h;
 }
 
-/** One executing job as the monitor thread sees it. */
-struct Runner::ActiveJob
-{
-    JobControl control;
-    std::uint64_t lastProgress = 0;
-    std::chrono::steady_clock::time_point lastAdvance =
-        std::chrono::steady_clock::now();
-};
-
-/** RAII registration of a job with the runner's monitor thread. */
-class ActiveRegistration
-{
-  public:
-    explicit ActiveRegistration(Runner &runner) : runner_(runner)
-    {
-        MutexLock lock(runner_.active_mutex_);
-        runner_.active_.push_back(&job_);
-    }
-
-    ~ActiveRegistration()
-    {
-        MutexLock lock(runner_.active_mutex_);
-        auto &v = runner_.active_;
-        v.erase(std::remove(v.begin(), v.end(), &job_), v.end());
-    }
-
-    ActiveRegistration(const ActiveRegistration &) = delete;
-    ActiveRegistration &operator=(const ActiveRegistration &) = delete;
-
-    JobControl &control() { return job_.control; }
-
-  private:
-    Runner &runner_;
-    Runner::ActiveJob job_;
-};
-
 Runner::Runner(const RunnerOptions &options) : options_(options)
 {
     bear_assert(options.scale > 0.0, "scale must be positive");
     bear_assert(options.cores > 0, "need cores");
 
-    // Preflight the replay corpus before any simulation (and before
-    // the monitor thread exists, so a config error dies with a clean
-    // single-threaded exit): a missing or corrupt BEAR_TRACE_IN must
-    // never cost a warm-up first.
+    // Preflight the replay corpus before any simulation: a missing or
+    // corrupt BEAR_TRACE_IN must never cost a warm-up first.
     if (!options_.traceInPath.empty()) {
         auto probe =
             trace::TraceReplayStream::open(options_.traceInPath, 0);
@@ -449,16 +362,6 @@ Runner::Runner(const RunnerOptions &options) : options_(options)
                        ": recorded with ", (*probe)->meta().coreCount,
                        " cores, this run wants ", options_.cores);
         }
-    }
-
-    if (!options_.faultSpec.empty()) {
-        auto plan = fault::parseFaultSpec(options_.faultSpec);
-        if (!plan.hasValue()) {
-            bear_fatal("BEAR_FAULT=\"", options_.faultSpec, "\": ",
-                       plan.error());
-        }
-        plan->seed = options_.seed;
-        fault::injector().arm(std::move(*plan));
     }
 
     if (!options_.journalPath.empty()) {
@@ -480,56 +383,18 @@ Runner::Runner(const RunnerOptions &options) : options_(options)
         }
     }
 
-    installInterruptHandlers();
-    monitor_ = std::thread([this] { monitorLoop(); });
+    // Process-wide: the first Runner installs the handlers.
+    static OnceFlag once;
+    callOnce(once, [] {
+        std::signal(SIGINT, bearSignalHandler);
+        std::signal(SIGTERM, bearSignalHandler);
+    });
 }
 
-Runner::~Runner()
+bool
+interruptRequested()
 {
-    {
-        MutexLock lock(monitor_cv_mutex_);
-        stop_monitor_.store(true);
-    }
-    monitor_cv_.notifyAll();
-    if (monitor_.joinable())
-        monitor_.join();
-    if (!options_.faultSpec.empty())
-        fault::injector().disarm();
-}
-
-void
-Runner::monitorLoop()
-{
-    const double timeout = options_.jobTimeoutSeconds;
-    MutexLock lk(monitor_cv_mutex_);
-    while (!stop_monitor_.load(std::memory_order_relaxed)) {
-        monitor_cv_.waitFor(lk, kMonitorTick, [this] {
-            return stop_monitor_.load(std::memory_order_relaxed);
-        });
-        if (stop_monitor_.load(std::memory_order_relaxed))
-            return;
-
-        const bool interrupted = interruptRequested();
-        const auto now = std::chrono::steady_clock::now();
-        MutexLock guard(active_mutex_);
-        for (ActiveJob *job : active_) {
-            if (interrupted)
-                job->control.requestCancel(CancelReason::Interrupt);
-            if (timeout <= 0.0)
-                continue;
-            const std::uint64_t p =
-                job->control.progress.load(std::memory_order_relaxed);
-            if (p != job->lastProgress) {
-                job->lastProgress = p;
-                job->lastAdvance = now;
-                continue;
-            }
-            const std::chrono::duration<double> stalled =
-                now - job->lastAdvance;
-            if (stalled.count() > timeout)
-                job->control.requestCancel(CancelReason::Timeout);
-        }
-    }
+    return g_interrupt_signal.load(std::memory_order_relaxed) != 0;
 }
 
 SystemConfig
@@ -554,26 +419,26 @@ Runner::systemConfig(const RunJob &job) const
 std::string
 Runner::keyOf(const RunJob &job) const
 {
+    // Key an override equal to the runner's own value as no override,
+    // so both spellings of one configuration share a memo and journal
+    // entry.
+    const auto canonical = [](auto value, auto runner_value) {
+        return value == runner_value ? decltype(value){0} : value;
+    };
     std::ostringstream os;
     os << designName(job.design) << '|'
        << (job.mix ? job.mix->name : job.rateBenchmark) << '|'
-       << job.bandwidthRatio << '|' << job.totalBanks << '|'
-       << job.cacheCapacityBytes;
+       << canonical(job.bandwidthRatio, options_.bandwidthRatio) << '|'
+       << canonical(job.totalBanks, options_.totalBanks) << '|'
+       << canonical(job.cacheCapacityBytes, options_.cacheCapacityBytes);
     return os.str();
 }
 
 RunResult
-Runner::execute(const RunJob &job, JobControl &control, JobPhase &phase)
+Runner::execute(const RunJob &job, JobPhase &phase)
 {
-    SystemConfig config = systemConfig(job);
-    config.control = &control;
     const std::string workload_name =
         job.mix ? job.mix->name : job.rateBenchmark;
-    const std::string key = keyOf(job);
-
-    phase = JobPhase::Setup;
-    control.setPhase("setup");
-    checkFaultSite("job.setup", key, control);
 
     std::vector<std::unique_ptr<RefStream>> streams;
     if (!options_.traceInPath.empty()) {
@@ -613,14 +478,12 @@ Runner::execute(const RunJob &job, JobControl &control, JobPhase &phase)
     }
 
     // Tee the streams to a .beartrace file.  One file holds one run,
-    // so with several jobs in flight only the first records; declared
-    // before the System so the recording streams it feeds are
-    // destroyed first.
+    // so only the first job records, whether or not it completes;
+    // declared before the System so the recording streams it feeds
+    // are destroyed first.
     std::unique_ptr<trace::TraceWriter> writer;
-    std::optional<ClaimGuard> claim;
     if (!options_.traceOutPath.empty()) {
         if (!trace_out_claimed_.exchange(true)) {
-            claim.emplace(trace_out_claimed_);
             trace::TraceMeta meta;
             meta.workload = workload_name;
             meta.seed = options_.seed;
@@ -628,8 +491,6 @@ Runner::execute(const RunJob &job, JobControl &control, JobPhase &phase)
             auto created = trace::TraceWriter::create(
                 options_.traceOutPath, meta);
             if (!created.hasValue()) {
-                // Unopenable output path: a config error, not a
-                // transient — fail (or contain) immediately.
                 bear_fatal("BEAR_TRACE_OUT=", options_.traceOutPath,
                            ": ", created.error().message());
             }
@@ -648,33 +509,12 @@ Runner::execute(const RunJob &job, JobControl &control, JobPhase &phase)
 
     bool writer_finished = false;
     try {
-        SingleRunSpec spec;
-        spec.config = config;
-        spec.warmupRefsPerCore = options_.warmupRefsPerCore;
-        spec.measureRefsPerCore = options_.measureRefsPerCore;
-        spec.workload = workload_name;
-        spec.design = designName(job.design);
-        spec.isMix = job.mix != nullptr;
-        spec.onPhase = [&](RunPhase p) {
-            if (p == RunPhase::Warmup) {
-                phase = JobPhase::Warmup;
-                checkFaultSite("job.warmup", key, control);
-            } else {
-                phase = JobPhase::Measure;
-                checkFaultSite("job.measure", key, control);
-            }
-        };
-        RunResult result = runSingleTenant(spec, std::move(streams));
-        if (job.mix) {
-            for (std::uint32_t c = 0; c < options_.cores; ++c) {
-                auto alone = ipcAloneContained(job.mix->benchmarks[c],
-                                               &control);
-                if (!alone.hasValue())
-                    throw AloneFailed{alone.error()};
-                result.ipcAlone.push_back(*alone);
-            }
-        }
-
+        RunResult result;
+        result.workload = workload_name;
+        result.design = designName(job.design);
+        result.isMix = job.mix != nullptr;
+        result.stats = runPhases(systemConfig(job), std::move(streams),
+                                 options_, phase);
         if (writer) {
             writer_finished = true;
             auto finished = writer->finish();
@@ -683,14 +523,10 @@ Runner::execute(const RunJob &job, JobControl &control, JobPhase &phase)
             bear_inform("recorded ", *finished, " references of ",
                         workload_name, " to ", options_.traceOutPath);
         }
-        if (claim)
-            claim->commit();
         return result;
     } catch (...) {
         // Seal whatever the recording already holds: a finished-short
         // trace replays its prefix, an unfinished one is garbage.
-        // The ClaimGuard then releases the recording slot so a retry
-        // (or a later job) records instead.
         if (writer && !writer_finished) {
             auto sealed = writer->finish();
             if (sealed.hasValue()) {
@@ -707,51 +543,37 @@ Runner::execute(const RunJob &job, JobControl &control, JobPhase &phase)
 RunOutcome
 Runner::executeContained(const RunJob &job, const std::string &key)
 {
-    ActiveRegistration registration(*this);
-    JobControl &control = registration.control();
-    ContainmentScope contain;
+    // A mix's weighted speedup needs each benchmark's IPC_alone; a
+    // failed reference run fails the mix cell in phase ipc_alone.
+    std::vector<double> alone;
+    if (job.mix) {
+        for (const auto &benchmark : job.mix->benchmarks) {
+            auto ipc = tryIpcAlone(benchmark);
+            if (!ipc.hasValue()) {
+                RunError err = ipc.error();
+                err.key = key;
+                err.workload = job.mix->name;
+                err.design = designName(job.design);
+                return unexpected(std::move(err));
+            }
+            alone.push_back(*ipc);
+        }
+    }
 
     JobPhase phase = JobPhase::Setup;
-    RunError err;
-    err.key = key;
-    err.workload = job.mix ? job.mix->name : job.rateBenchmark;
-    err.design = designName(job.design);
-
     try {
-        return execute(job, control, phase);
-    } catch (const AloneFailed &alone) {
-        RunError inner = alone.error;
-        inner.key = key;
-        inner.workload = err.workload;
-        inner.design = err.design;
-        inner.phase = JobPhase::IpcAlone;
-        return unexpected(std::move(inner));
-    } catch (const ContainedFailure &failure) {
-        err.kind = RunErrorKind::Contained;
-        err.what = failure.message;
-    } catch (const JobCancelled &cancelled) {
-        if (cancelled.reason == CancelReason::Interrupt) {
-            err.kind = RunErrorKind::Interrupted;
-            err.what = "interrupted (SIGINT/SIGTERM)";
-        } else {
-            err.kind = RunErrorKind::Timeout;
-            err.what = detail::format(
-                "watchdog: no forward progress within ",
-                options_.jobTimeoutSeconds, " s");
-        }
-        err.diagnostics = cancelled.diagnostics;
-    } catch (const trace::TraceIoFailure &failure) {
-        err.kind = RunErrorKind::TraceIo;
-        err.what = failure.error.message();
-    } catch (const std::bad_alloc &) {
-        err.kind = RunErrorKind::Contained;
-        err.what = "allocation failure (std::bad_alloc)";
-    } catch (const std::exception &e) {
-        err.kind = RunErrorKind::Contained;
-        err.what = e.what();
+        ContainmentScope contain;
+        RunResult result = execute(job, phase);
+        result.ipcAlone = std::move(alone);
+        return result;
+    } catch (...) {
+        RunError err = classifyFailure(std::current_exception());
+        err.key = key;
+        err.workload = job.mix ? job.mix->name : job.rateBenchmark;
+        err.design = designName(job.design);
+        err.phase = phase;
+        return unexpected(std::move(err));
     }
-    err.phase = phase;
-    return unexpected(std::move(err));
 }
 
 RunOutcome
@@ -765,35 +587,16 @@ Runner::tryRun(const RunJob &job)
             return it->second;
     }
 
-    for (std::uint32_t attempt = 1;; ++attempt) {
-        RunOutcome outcome = executeContained(job, key);
-        if (outcome.hasValue()) {
-            MutexLock lock(mutex_);
-            auto [it, inserted] =
-                cache_.emplace(key, std::move(*outcome));
-            if (inserted && journal_
-                && !journal_->appendResult(key, it->second)) {
-                bear_warn("BEAR_JOURNAL=", options_.journalPath,
-                          ": appending ", key,
-                          " failed; resumability degrades");
-            }
-            return it->second;
-        }
-
-        RunError err = outcome.error();
-        err.attempts = attempt;
-        const bool transient = err.kind == RunErrorKind::TraceIo;
-        if (!transient || attempt >= kTraceIoAttempts)
-            return unexpected(std::move(err));
-
-        // Deterministic capped backoff: 10ms, 20ms, 40ms, ...
-        const auto backoff =
-            std::chrono::milliseconds(10LL << (attempt - 1));
-        bear_warn("transient failure of ", key, " (attempt ", attempt,
-                  " of ", kTraceIoAttempts, "): ", err.what,
-                  "; retrying in ", backoff.count(), " ms");
-        std::this_thread::sleep_for(backoff);
+    RunOutcome outcome = executeContained(job, key);
+    if (!outcome.hasValue())
+        return outcome;
+    MutexLock lock(mutex_);
+    auto [it, inserted] = cache_.emplace(key, std::move(*outcome));
+    if (inserted && journal_ && !journal_->appendResult(key, it->second)) {
+        bear_warn("BEAR_JOURNAL=", options_.journalPath, ": appending ",
+                  key, " failed; resumability degrades");
     }
+    return it->second;
 }
 
 RunResult
@@ -802,8 +605,6 @@ Runner::run(const RunJob &job)
     auto outcome = tryRun(job);
     if (!outcome.hasValue()) {
         const RunError &err = outcome.error();
-        if (!err.diagnostics.empty())
-            bear_warn("failure diagnostics:\n", err.diagnostics);
         if (err.kind == RunErrorKind::Interrupted) {
             bear_inform("interrupted: ", err.message());
             std::exit(130);
@@ -832,8 +633,7 @@ Runner::runMix(DesignKind design, const MixSpec &mix)
 }
 
 Expected<double, RunError>
-Runner::ipcAloneContained(const std::string &benchmark,
-                          JobControl *control)
+Runner::tryIpcAlone(const std::string &benchmark)
 {
     {
         MutexLock lock(mutex_);
@@ -842,25 +642,8 @@ Runner::ipcAloneContained(const std::string &benchmark,
             return it->second;
     }
 
-    RunError err;
-    err.kind = RunErrorKind::Contained;
-    err.key = "alone|" + benchmark;
-    err.workload = benchmark;
-    err.design = "alloy-1core";
-    err.phase = JobPhase::IpcAlone;
-
-    // Standalone calls register their own watchdog entry; nested ones
-    // (inside a mix job) reuse the mix's control so its progress and
-    // cancellation cover the reference run too.
-    std::optional<ActiveRegistration> registration;
-    if (!control) {
-        registration.emplace(*this);
-        control = &registration->control();
-    }
-    ContainmentScope contain;
-
     try {
-        checkFaultSite("alone.run", benchmark, *control);
+        ContainmentScope contain;
 
         // Single active core on the baseline Alloy system: the
         // benchmark has every resource to itself.
@@ -872,27 +655,15 @@ Runner::ipcAloneContained(const std::string &benchmark,
         config.bandwidthRatio = options_.bandwidthRatio;
         config.totalBanks = options_.totalBanks;
         config.seed = options_.seed;
-        config.control = control;
 
         std::vector<std::unique_ptr<RefStream>> streams;
         streams.push_back(std::make_unique<WorkloadStream>(
             profileByName(benchmark), options_.seed + 0x1000,
             options_.scale));
-
-        SingleRunSpec spec;
-        spec.config = config;
-        spec.warmupRefsPerCore = options_.warmupRefsPerCore;
-        spec.measureRefsPerCore = options_.measureRefsPerCore;
-        spec.workload = benchmark;
-        spec.design = err.design;
-        // Both phases report as ipc_alone: the reference run is one
-        // opaque step of its enclosing mix cell.
-        spec.onPhase = [&](RunPhase) {
-            control->setPhase("ipc_alone");
-        };
-        const RunResult alone = runSingleTenant(spec,
-                                                std::move(streams));
-        const double ipc = alone.stats.ipcPerCore[0];
+        JobPhase phase = JobPhase::Setup;
+        const double ipc =
+            runPhases(config, std::move(streams), options_, phase)
+                .ipcPerCore[0];
 
         MutexLock lock(mutex_);
         auto [it, inserted] = alone_cache_.emplace(benchmark, ipc);
@@ -903,31 +674,16 @@ Runner::ipcAloneContained(const std::string &benchmark,
                       " failed; resumability degrades");
         }
         return it->second;
-    } catch (const ContainedFailure &failure) {
-        err.what = failure.message;
-    } catch (const JobCancelled &cancelled) {
-        if (cancelled.reason == CancelReason::Interrupt) {
-            err.kind = RunErrorKind::Interrupted;
-            err.what = "interrupted (SIGINT/SIGTERM)";
-        } else {
-            err.kind = RunErrorKind::Timeout;
-            err.what = detail::format(
-                "watchdog: no forward progress within ",
-                options_.jobTimeoutSeconds, " s");
-        }
-        err.diagnostics = cancelled.diagnostics;
-    } catch (const std::bad_alloc &) {
-        err.what = "allocation failure (std::bad_alloc)";
-    } catch (const std::exception &e) {
-        err.what = e.what();
+    } catch (...) {
+        RunError err = classifyFailure(std::current_exception());
+        err.key = "alone|" + benchmark;
+        err.workload = benchmark;
+        err.design = "alloy-1core";
+        // Both phases report as ipc_alone: the reference run is one
+        // opaque step of its enclosing mix cell.
+        err.phase = JobPhase::IpcAlone;
+        return unexpected(std::move(err));
     }
-    return unexpected(std::move(err));
-}
-
-Expected<double, RunError>
-Runner::tryIpcAlone(const std::string &benchmark)
-{
-    return ipcAloneContained(benchmark, nullptr);
 }
 
 double
@@ -1041,11 +797,11 @@ mixJobs(DesignKind design)
 }
 
 std::vector<RunJob>
-allJobs(DesignKind design)
+allJobs(DesignKind design, const RunnerOptions &options)
 {
     std::vector<RunJob> jobs = rateJobs(design);
-    const bool full = std::getenv("BEAR_ALL54") != nullptr;
-    const auto &mixes = full ? allMixes() : tableThreeMixes();
+    const auto &mixes =
+        options.allMixes ? allMixes() : tableThreeMixes();
     for (const auto &mix : mixes) {
         RunJob job;
         job.design = design;

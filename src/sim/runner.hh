@@ -14,23 +14,21 @@
  * Resilience (DESIGN.md §11): each job executes inside a containment
  * scope, so an exception, a bear_assert failure, or a bear_fatal deep
  * inside one simulation becomes a structured RunError for that cell —
- * never a dead worker pool or a half-printed table.  A monitor thread
- * watches forward progress and converts hangs into timeout failures
- * (BEAR_JOB_TIMEOUT) and SIGINT/SIGTERM into a graceful sweep drain.
- * A transient trace-I/O failure gets three attempts in all, with
- * capped deterministic backoff.  With BEAR_JOURNAL set, every
- * completed cell is appended to a CRC-sealed journal and a re-run
- * resumes, re-executing only failed or missing cells.
+ * never a dead worker pool or a half-printed table.  SIGINT/SIGTERM
+ * drains the sweep: running jobs see the signal flag at their next
+ * System::run checkpoint (sim/job_control.hh).  With BEAR_JOURNAL set,
+ * every completed cell is appended to a CRC-sealed journal and a
+ * re-run resumes, re-executing only failed or missing cells.
  */
 
 #ifndef BEAR_SIM_RUNNER_HH
 #define BEAR_SIM_RUNNER_HH
 
 #include <atomic>
+#include <exception>
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/expected.hh"
@@ -84,18 +82,11 @@ struct RunnerOptions
     /**
      * Record workload: path the first executed run writes its streams
      * to as a .beartrace file.  Only the first run of a Runner
-     * records (a shared file cannot hold concurrent jobs); later runs
-     * warn and proceed unrecorded.  Empty = no recording.
+     * records (a shared file cannot hold concurrent jobs), even when
+     * that run fails; later runs warn and proceed unrecorded.  Empty =
+     * no recording.
      */
     std::string traceOutPath;
-
-    /**
-     * Watchdog deadline in wall-clock seconds without forward
-     * progress (simulated references retired) before a job is
-     * cancelled as a timeout failure.  0 (the default) disables the
-     * watchdog.  BEAR_JOB_TIMEOUT.
-     */
-    double jobTimeoutSeconds = 0.0;
 
     /**
      * Path of the CRC-sealed results journal (sim/journal.hh).
@@ -105,18 +96,16 @@ struct RunnerOptions
      */
     std::string journalPath;
 
-    /**
-     * Fault-injection spec (common/fault.hh grammar), armed for the
-     * lifetime of the Runner.  Empty = no injection.  BEAR_FAULT.
-     */
-    std::string faultSpec;
+    /** allJobs() runs all 38 mixes instead of the 8 detailed ones
+     *  (the paper's 54-workload set).  BEAR_ALL54=1. */
+    bool allMixes = false;
 
     /**
      * Parse the environment overrides strictly: BEAR_SCALE,
      * BEAR_WARMUP, BEAR_MEASURE, BEAR_WORKERS, BEAR_TRACE,
      * BEAR_TRACE_IN / BEAR_TRACE_OUT (.beartrace replay / record),
-     * BEAR_JOB_TIMEOUT / BEAR_JOURNAL / BEAR_FAULT (resilience),
-     * BEAR_FULL=1 (paper-size, scale 1.0).  A set-but-malformed
+     * BEAR_JOURNAL (resumable sweeps), BEAR_FULL=1 (paper-size, scale
+     * 1.0), BEAR_ALL54=1 (all 38 mixes).  A set-but-malformed
      * variable is an error naming the variable and, for the numeric
      * knobs, the accepted range — never a silent fallback to the
      * default or a silent truncation.
@@ -132,9 +121,9 @@ struct RunnerOptions
      * FNV-1a digest of every field that shapes results (scale, ref
      * counts, cores, geometry, seed, trace capacity, replay path) —
      * the compatibility stamp of the results journal.  Fields that
-     * only shape execution (workers, journal/record paths, timeout,
-     * fault spec) are excluded, so resuming with more workers or a
-     * different timeout is allowed.
+     * only shape execution or pick the jobs (workers, journal/record
+     * paths, allMixes) are excluded, so resuming with more workers is
+     * allowed.
      */
     std::uint64_t fingerprint() const;
 };
@@ -145,13 +134,17 @@ struct RunJob
     DesignKind design = DesignKind::Alloy;
     std::string rateBenchmark; ///< set for rate mode
     const MixSpec *mix = nullptr; ///< set for mix mode
-    /** Optional per-job overrides (sensitivity studies). */
+    /**
+     * Optional per-job overrides (sensitivity studies).  An override
+     * equal to the RunnerOptions value is the same job as no override.
+     */
     std::uint32_t bandwidthRatio = 0; ///< 0 = RunnerOptions value
     std::uint32_t totalBanks = 0;
     std::uint64_t cacheCapacityBytes = 0;
 };
 
-/** Where in its lifecycle a job failed (DESIGN.md §11). */
+/** Where in its lifecycle a job failed (DESIGN.md §11); perfbench
+ *  names Setup, Warmup and Measure. */
 enum class JobPhase : std::uint8_t
 {
     Setup,   ///< stream construction, replay open, recording claim
@@ -167,15 +160,17 @@ const char *jobPhaseName(JobPhase phase);
 enum class RunErrorKind : std::uint8_t
 {
     Contained,   ///< exception / contained panic or fatal in the job
-    Timeout,     ///< watchdog: no forward progress within the deadline
     Interrupted, ///< SIGINT/SIGTERM drained the sweep
-    TraceIo      ///< transient trace I/O failure, retries exhausted
+    TraceIo      ///< recording the job's .beartrace failed
 };
 
 /** Stable lower-case kind name for errors and reports. */
 const char *runErrorKindName(RunErrorKind kind);
 
-/** One job's structured failure: what, where, and the evidence. */
+/**
+ * One job's structured failure: what and where.  perfbench names key,
+ * workload, design, what, phase and message().
+ */
 struct RunError
 {
     RunErrorKind kind = RunErrorKind::Contained;
@@ -184,9 +179,6 @@ struct RunError
     std::string design;
     JobPhase phase = JobPhase::Setup;
     std::string what;     ///< exception / panic / cancellation message
-    /** Event-trace tail and per-bank queue state at failure time. */
-    std::string diagnostics;
-    std::uint32_t attempts = 1; ///< executions consumed (retries + 1)
 
     /** `bear/mix1 failed during measure: ... — ready to print.` */
     std::string message() const;
@@ -195,6 +187,15 @@ struct RunError
 /** A completed RunResult, or the structured failure of the job. */
 using RunOutcome = Expected<RunResult, RunError>;
 
+/**
+ * The kind and message of a failed job's exception (@p failure, from
+ * std::current_exception()): JobCancelled is `interrupted`,
+ * trace::TraceIoFailure is `trace-io`, and a ContainedFailure,
+ * std::bad_alloc, any other std::exception or anything else thrown is
+ * `contained`.  The caller fills in the job's identity and phase.
+ */
+RunError classifyFailure(std::exception_ptr failure);
+
 /** Thread-pooled, memoising experiment runner. */
 class Runner
 {
@@ -202,11 +203,10 @@ class Runner
     /**
      * Validates the replay corpus (BEAR_TRACE_IN) up front — a
      * missing or corrupt trace is a fatal config error *before* any
-     * simulation runs — then opens the journal, arms the fault plan,
-     * and starts the monitor thread.
+     * simulation runs — then opens the journal and installs the
+     * SIGINT/SIGTERM handlers.
      */
     explicit Runner(const RunnerOptions &options);
-    ~Runner();
 
     Runner(const Runner &) = delete;
     Runner &operator=(const Runner &) = delete;
@@ -251,19 +251,11 @@ class Runner
     const ResultJournal *journal() const { return journal_.get(); }
 
   private:
-    struct ActiveJob;
-    friend class ActiveRegistration;
-
     SystemConfig systemConfig(const RunJob &job) const;
-    RunResult execute(const RunJob &job, JobControl &control,
-                      JobPhase &phase);
+    RunResult execute(const RunJob &job, JobPhase &phase);
     RunOutcome executeContained(const RunJob &job,
                                 const std::string &key);
-    Expected<double, RunError>
-    ipcAloneContained(const std::string &benchmark,
-                      JobControl *control);
     std::string keyOf(const RunJob &job) const;
-    void monitorLoop();
 
     RunnerOptions options_;
     /** Set once the recording run has claimed traceOutPath. */
@@ -276,18 +268,10 @@ class Runner
 
     /**
      * The pointer is written once in the constructor (before any
-     * worker or the monitor thread exists) and read-only afterwards;
-     * appends to the pointee are serialised under mutex_.
+     * worker exists) and read-only afterwards; appends to the pointee
+     * are serialised under mutex_.
      */
     std::unique_ptr<ResultJournal> journal_;
-
-    /** Jobs currently executing, watched by the monitor thread. */
-    Mutex active_mutex_;
-    std::vector<ActiveJob *> active_ GUARDED_BY(active_mutex_);
-    std::atomic<bool> stop_monitor_{false};
-    Mutex monitor_cv_mutex_;
-    CondVar monitor_cv_;
-    std::thread monitor_;
 };
 
 /** Has this process received SIGINT/SIGTERM since the first Runner? */
@@ -301,10 +285,11 @@ std::vector<RunJob> mixJobs(DesignKind design);
 
 /**
  * The "ALL" workload set: RATE + the detailed mixes by default; with
- * BEAR_ALL54=1 in the environment, RATE + all 38 mixes (the paper's
+ * @p options.allMixes (BEAR_ALL54=1), RATE + all 38 mixes (the paper's
  * 54-workload set).
  */
-std::vector<RunJob> allJobs(DesignKind design);
+std::vector<RunJob> allJobs(DesignKind design,
+                            const RunnerOptions &options);
 
 } // namespace bear
 

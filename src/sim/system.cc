@@ -158,13 +158,12 @@ System::run(std::uint64_t refs_per_core)
         refs_per_core * static_cast<std::uint64_t>(config_.cores);
     std::vector<std::uint64_t> quota(config_.cores, refs_per_core);
 
-    // Job control works a block of references at a time: publish the
-    // block as progress, checkpoint the cancel flag, then run it.
+    // Job control works a block of references at a time: checkpoint
+    // the cancel flag, then run the block.
     JobControl *const control = config_.control;
     for (std::uint64_t done = 0; done < total;) {
         const std::uint64_t block = std::min(kControlBlock, total - done);
         if (control) {
-            control->progress.fetch_add(block, std::memory_order_relaxed);
             const CancelReason why = control->cancelReason();
             if (why != CancelReason::None)
                 throw JobCancelled{why, {}};

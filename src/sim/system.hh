@@ -77,11 +77,10 @@ struct SystemConfig
 
     /**
      * Cooperative cancellation hook (not owned).  When set, run()
-     * publishes forward progress here and checkpoints the cancel flag
-     * once per block of System::kControlBlock (1024) references,
-     * throwing JobCancelled once a cancel is requested — the mechanism
-     * behind the runner's watchdog timeout and SIGINT/SIGTERM drain
-     * (DESIGN.md §11).  Null: no overhead.
+     * checkpoints the cancel flag once per block of
+     * System::kControlBlock (1024) references, throwing JobCancelled
+     * once a cancel is requested — the mechanism behind the runner's
+     * SIGINT/SIGTERM drain (DESIGN.md §11).  Null: no overhead.
      */
     JobControl *control = nullptr;
 };
@@ -142,8 +141,8 @@ class System
     ~System();
 
     /**
-     * References per job-control checkpoint: run() publishes progress
-     * and checks the cancel flag once per block of this many.
+     * References per job-control checkpoint: run() checks the cancel
+     * flag once per block of this many.
      */
     static constexpr std::uint64_t kControlBlock = 1024;
 

@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "common/fault.hh"
 #include "common/log.hh"
 
 namespace bear::trace
@@ -72,14 +71,6 @@ TraceWriter::append(CoreId core, const MemRef &ref)
 
     if (io_failed_)
         return unexpected(ioError("cannot append"));
-    auto &inj = fault::injector();
-    if (inj.armed()
-        && inj.evaluate("trace.write", meta_.workload)
-            == fault::FaultKind::TraceIo) {
-        // Poison the stream the way a yanked disk would: the next
-        // physical write fails, and everything downstream must cope.
-        out_.setstate(std::ios::failbit);
-    }
 
     OpenChunk &chunk = chunks_[core];
     std::uint8_t flags = 0;
@@ -142,13 +133,6 @@ TraceWriter::finish()
 {
     bear_assert(!finished_, "finish() called twice");
     finished_ = true;
-
-    auto &inj = fault::injector();
-    if (inj.armed()
-        && inj.evaluate("trace.finish", meta_.workload)
-            == fault::FaultKind::TraceIo) {
-        out_.setstate(std::ios::failbit);
-    }
 
     for (CoreId core = 0; core < chunks_.size(); ++core)
         sealChunk(core);

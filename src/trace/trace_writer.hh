@@ -37,7 +37,7 @@ namespace bear::trace
  * failure at append time.  The simulation loop has no Expected channel
  * (RefStream::next returns a MemRef), so the failure unwinds as an
  * exception; the runner's containment layer converts it into a
- * transient RunError and retries the job (DESIGN.md §11).
+ * `trace-io` RunError for that job (DESIGN.md §11).
  */
 struct TraceIoFailure
 {

@@ -132,7 +132,7 @@ TEST(Experiment, JobBuilders)
 {
     EXPECT_EQ(rateJobs(DesignKind::Bear).size(), 16u);
     EXPECT_EQ(mixJobs(DesignKind::Bear).size(), 8u);
-    const auto all = allJobs(DesignKind::Bear);
+    const auto all = allJobs(DesignKind::Bear, RunnerOptions{});
     EXPECT_GE(all.size(), 24u);
     for (const auto &job : all)
         EXPECT_EQ(job.design, DesignKind::Bear);
@@ -290,49 +290,27 @@ TEST(RunnerOptions, ValidEnvironmentRoundTrips)
     EXPECT_EQ(clean->traceCapacity, 0u);
 }
 
-TEST(RunnerOptions, JobTimeoutRejectsNonPositiveAndHuge)
+TEST(RunnerOptions, All54AcceptsOnlyZeroOrOne)
 {
-    setenv("BEAR_JOB_TIMEOUT", "0", 1);
-    auto zero = RunnerOptions::tryFromEnv();
-    ASSERT_FALSE(zero.hasValue());
-    EXPECT_EQ(zero.error().variable, "BEAR_JOB_TIMEOUT");
-    EXPECT_NE(zero.error().message().find("(0, 86400]"),
+    setenv("BEAR_ALL54", "0", 1);
+    const auto off = RunnerOptions::tryFromEnv();
+    ASSERT_TRUE(off.hasValue());
+    EXPECT_FALSE(off->allMixes);
+    EXPECT_EQ(allJobs(DesignKind::Bear, *off).size(), 24u);
+
+    setenv("BEAR_ALL54", "1", 1);
+    const auto on = RunnerOptions::tryFromEnv();
+    ASSERT_TRUE(on.hasValue());
+    EXPECT_TRUE(on->allMixes);
+    EXPECT_EQ(allJobs(DesignKind::Bear, *on).size(), 54u);
+
+    setenv("BEAR_ALL54", "no", 1);
+    const auto bad = RunnerOptions::tryFromEnv();
+    ASSERT_FALSE(bad.hasValue());
+    EXPECT_EQ(bad.error().variable, "BEAR_ALL54");
+    EXPECT_NE(bad.error().message().find("accepted range 0..1"),
               std::string::npos);
-
-    setenv("BEAR_JOB_TIMEOUT", "86401", 1);
-    EXPECT_FALSE(RunnerOptions::tryFromEnv().hasValue());
-
-    setenv("BEAR_JOB_TIMEOUT", "abc", 1);
-    EXPECT_FALSE(RunnerOptions::tryFromEnv().hasValue());
-
-    setenv("BEAR_JOB_TIMEOUT", "2.5", 1);
-    const auto ok = RunnerOptions::tryFromEnv();
-    ASSERT_TRUE(ok.hasValue());
-    EXPECT_DOUBLE_EQ(ok->jobTimeoutSeconds, 2.5);
-    unsetenv("BEAR_JOB_TIMEOUT");
-}
-
-TEST(RunnerOptions, FaultSpecValidatedAtParseTime)
-{
-    // A malformed spec must fail before any simulation starts, naming
-    // the variable and echoing the offending value.
-    setenv("BEAR_FAULT", "explode@job.setup", 1);
-    const auto bad_kind = RunnerOptions::tryFromEnv();
-    ASSERT_FALSE(bad_kind.hasValue());
-    EXPECT_EQ(bad_kind.error().variable, "BEAR_FAULT");
-    EXPECT_EQ(bad_kind.error().value, "explode@job.setup");
-
-    setenv("BEAR_FAULT", "throw", 1);
-    EXPECT_FALSE(RunnerOptions::tryFromEnv().hasValue());
-
-    setenv("BEAR_FAULT", "throw@job.measure:p=1.5", 1);
-    EXPECT_FALSE(RunnerOptions::tryFromEnv().hasValue());
-
-    setenv("BEAR_FAULT", "throw@job.measure:n=2,alloc@job.setup", 1);
-    const auto ok = RunnerOptions::tryFromEnv();
-    ASSERT_TRUE(ok.hasValue());
-    EXPECT_EQ(ok->faultSpec, "throw@job.measure:n=2,alloc@job.setup");
-    unsetenv("BEAR_FAULT");
+    unsetenv("BEAR_ALL54");
 }
 
 TEST(RunnerOptions, JournalPathReadFromEnv)
@@ -357,12 +335,10 @@ TEST(RunnerOptions, FingerprintCoversModelNotExecutionKnobs)
     b.seed = a.seed + 1;
     EXPECT_NE(a.fingerprint(), b.fingerprint());
 
-    // ...while execution knobs (workers, timeout, journal path,
-    // fault spec) do not: a resume may legally use different ones.
+    // ...while execution knobs (workers, journal path) do not: a
+    // resume may legally use different ones.
     b = a;
     b.workers = 1;
-    b.jobTimeoutSeconds = 5.0;
     b.journalPath = "/elsewhere.journal";
-    b.faultSpec = "throw@job.setup";
     EXPECT_EQ(a.fingerprint(), b.fingerprint());
 }

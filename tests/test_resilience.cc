@@ -1,21 +1,26 @@
 /**
  * @file
- * Chaos suite for the resilience layer (DESIGN.md §11): fault-spec
- * grammar and injector determinism, per-job crash containment, the
- * forward-progress watchdog, transient trace-I/O retry, SIGINT sweep
- * draining, and the CRC-sealed results journal with byte-identical
- * resumed reports.
+ * Resilience suite (DESIGN.md §11), driven by real failures: a disk
+ * that is full (/dev/full as the recording path), an unknown workload,
+ * a geometry that trips an invariant, and a SIGINT mid-run.  Covers
+ * per-job crash containment, the first-job-only recording claim,
+ * SIGINT sweep draining, and the CRC-sealed results journal with
+ * byte-identical resumed reports.
  */
 
+#include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <new>
+#include <stdexcept>
+#include <thread>
 
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
-#include "common/fault.hh"
 #include "sim/experiment.hh"
 #include "sim/journal.hh"
 #include "sim/report.hh"
@@ -27,6 +32,9 @@ using namespace bear;
 
 namespace
 {
+
+/** A device on which every write fails with ENOSPC. */
+constexpr const char *kFullDisk = "/dev/full";
 
 std::string
 tempPath(const std::string &name)
@@ -46,175 +54,138 @@ fastOptions()
     return options;
 }
 
-/** Restore the process-wide injector to quiet after a direct-use test. */
-struct InjectorGuard
+/** fastOptions() recording to the full disk. */
+RunnerOptions
+fullDiskOptions()
 {
-    ~InjectorGuard() { fault::injector().disarm(); }
-};
+    RunnerOptions options = fastOptions();
+    options.traceOutPath = kFullDisk;
+    return options;
+}
+
+bool
+fullDiskOpens()
+{
+    return std::ofstream(kFullDisk, std::ios::binary).is_open();
+}
+
+#define SKIP_WITHOUT_FULL_DISK()                                     \
+    do {                                                             \
+        if (!fullDiskOpens())                                        \
+            GTEST_SKIP() << kFullDisk << " cannot be opened";        \
+    } while (0)
+
+RunJob
+rateJob(const char *benchmark)
+{
+    RunJob job;
+    job.rateBenchmark = benchmark;
+    return job;
+}
 
 } // namespace
-
-// ---------------------------------------------------------------------
-// Fault-spec grammar
-
-TEST(FaultSpec, ParsesKindsSitesAndTriggers)
-{
-    const auto plan = fault::parseFaultSpec(
-        "throw@job.setup,panic@a.b:n=3,alloc@c:p=0.25,stall@*,"
-        "trace-io@trace.write");
-    ASSERT_TRUE(plan.hasValue());
-    ASSERT_EQ(plan->clauses.size(), 5u);
-
-    EXPECT_EQ(plan->clauses[0].kind, fault::FaultKind::Throw);
-    EXPECT_EQ(plan->clauses[0].site, "job.setup");
-    EXPECT_EQ(plan->clauses[0].nth, 1u); // default trigger
-
-    EXPECT_EQ(plan->clauses[1].kind, fault::FaultKind::Panic);
-    EXPECT_EQ(plan->clauses[1].nth, 3u);
-
-    EXPECT_EQ(plan->clauses[2].kind, fault::FaultKind::Alloc);
-    EXPECT_EQ(plan->clauses[2].nth, 0u); // p-mode
-    EXPECT_DOUBLE_EQ(plan->clauses[2].probability, 0.25);
-
-    EXPECT_EQ(plan->clauses[3].site, "*");
-    EXPECT_EQ(plan->clauses[4].kind, fault::FaultKind::TraceIo);
-}
-
-TEST(FaultSpec, RejectsMalformedClauses)
-{
-    for (const char *spec :
-         {"", "throw", "explode@x", "throw@", "throw@sp ace",
-          "throw@x:n=0", "throw@x:n=abc", "throw@x:p=0",
-          "throw@x:p=1.5", "throw@x:q=1",
-          "throw@ok,panic@x:n="}) {
-        const auto plan = fault::parseFaultSpec(spec);
-        EXPECT_FALSE(plan.hasValue()) << "spec accepted: " << spec;
-    }
-    // The error names the offending clause, not just "parse error".
-    const auto plan = fault::parseFaultSpec("throw@ok,explode@x");
-    ASSERT_FALSE(plan.hasValue());
-    EXPECT_NE(plan.error().find("explode@x"), std::string::npos);
-}
-
-TEST(FaultInjector, NthTriggerCountsPerSiteScopePair)
-{
-    InjectorGuard guard;
-    auto plan = fault::parseFaultSpec("throw@site:n=2");
-    ASSERT_TRUE(plan.hasValue());
-    fault::injector().arm(std::move(*plan));
-
-    // Scope "a": fires on exactly the second evaluation.
-    EXPECT_FALSE(fault::injector().evaluate("site", "a").has_value());
-    EXPECT_EQ(fault::injector().evaluate("site", "a"),
-              fault::FaultKind::Throw);
-    EXPECT_FALSE(fault::injector().evaluate("site", "a").has_value());
-
-    // Scope "b" keeps its own counter.
-    EXPECT_FALSE(fault::injector().evaluate("site", "b").has_value());
-    EXPECT_EQ(fault::injector().evaluate("site", "b"),
-              fault::FaultKind::Throw);
-
-    // Other sites never fire.
-    EXPECT_FALSE(fault::injector().evaluate("other", "a").has_value());
-    EXPECT_EQ(fault::injector().firedAt("site"), 2u);
-    EXPECT_EQ(fault::injector().firedAt("other"), 0u);
-}
-
-TEST(FaultInjector, ProbabilisticDrawIsDeterministic)
-{
-    InjectorGuard guard;
-    const auto decide = [] {
-        auto plan = fault::parseFaultSpec("throw@site:p=0.5");
-        plan->seed = 42;
-        fault::injector().arm(std::move(*plan));
-        std::vector<bool> fired;
-        for (int i = 0; i < 200; ++i)
-            fired.push_back(
-                fault::injector().evaluate("site", "scope").has_value());
-        return fired;
-    };
-    const std::vector<bool> first = decide();
-    const std::vector<bool> second = decide();
-    EXPECT_EQ(first, second);
-
-    // p=0.5 over 200 draws: both outcomes must actually occur.
-    std::size_t hits = 0;
-    for (bool b : first)
-        hits += b;
-    EXPECT_GT(hits, 0u);
-    EXPECT_LT(hits, first.size());
-}
-
-TEST(FaultInjector, DisarmedInjectorIsSilent)
-{
-    fault::injector().disarm();
-    EXPECT_FALSE(fault::injector().armed());
-    EXPECT_FALSE(
-        fault::injector().evaluate("site", "scope").has_value());
-}
 
 // ---------------------------------------------------------------------
 // Per-job crash containment
 
 TEST(Containment, ThrowBecomesStructuredError)
 {
-    RunnerOptions options = fastOptions();
-    options.faultSpec = "throw@job.measure";
+    // With 1k warm-up references per core, no core fills its first
+    // 4096-record chunk before the measured phase: the disk-full seal,
+    // and the TraceIoFailure it throws, come during measure.
+    SKIP_WITHOUT_FULL_DISK();
+    RunnerOptions options = fullDiskOptions();
+    options.warmupRefsPerCore = 1000;
     Runner runner(options);
-    RunJob job;
-    job.rateBenchmark = "wrf";
-    const RunOutcome outcome = runner.tryRun(job);
+    const RunOutcome outcome = runner.tryRun(rateJob("wrf"));
     ASSERT_FALSE(outcome.hasValue());
     const RunError &err = outcome.error();
-    EXPECT_EQ(err.kind, RunErrorKind::Contained);
+    EXPECT_EQ(err.kind, RunErrorKind::TraceIo);
     EXPECT_EQ(err.phase, JobPhase::Measure);
     EXPECT_EQ(err.workload, "wrf");
-    EXPECT_NE(err.what.find("injected fault"), std::string::npos);
-    EXPECT_EQ(err.attempts, 1u); // contained failures never retry
-    EXPECT_NE(err.message().find("measure"), std::string::npos);
+    EXPECT_NE(err.message().find("[trace-io] during measure"),
+              std::string::npos);
 }
 
 TEST(Containment, PanicIsContainedNotFatal)
 {
-    RunnerOptions options = fastOptions();
-    options.faultSpec = "panic@job.warmup";
-    Runner runner(options);
-    RunJob job;
-    job.rateBenchmark = "wrf";
-    const RunOutcome outcome = runner.tryRun(job);
-    ASSERT_FALSE(outcome.hasValue());
-    EXPECT_EQ(outcome.error().kind, RunErrorKind::Contained);
-    EXPECT_EQ(outcome.error().phase, JobPhase::Warmup);
-}
-
-TEST(Containment, AllocFailureContainedAtSetup)
-{
-    RunnerOptions options = fastOptions();
-    options.faultSpec = "alloc@job.setup";
-    Runner runner(options);
-    RunJob job;
-    job.rateBenchmark = "wrf";
+    // Two banks over the 8x geometry's four channels leaves each
+    // channel with none: a bear_assert in System construction.
+    Runner runner(fastOptions());
+    RunJob job = rateJob("wrf");
+    job.totalBanks = 2;
     const RunOutcome outcome = runner.tryRun(job);
     ASSERT_FALSE(outcome.hasValue());
     EXPECT_EQ(outcome.error().kind, RunErrorKind::Contained);
     EXPECT_EQ(outcome.error().phase, JobPhase::Setup);
+    EXPECT_NE(outcome.error().what.find("channel needs banks"),
+              std::string::npos);
+
+    // The process and the Runner survive: the next job completes.
+    EXPECT_TRUE(runner.tryRun(rateJob("wrf")).hasValue());
+}
+
+TEST(Containment, AllocFailureContainedAtSetup)
+{
+    // A failure while the job's streams are built (here bear_fatal on
+    // an unknown workload) is contained in setup.  The classifier test
+    // below covers std::bad_alloc's mapping to the same kind.
+    Runner runner(fastOptions());
+    const RunOutcome outcome = runner.tryRun(rateJob("no-such-benchmark"));
+    ASSERT_FALSE(outcome.hasValue());
+    EXPECT_EQ(outcome.error().kind, RunErrorKind::Contained);
+    EXPECT_EQ(outcome.error().phase, JobPhase::Setup);
+    EXPECT_NE(outcome.error().what.find("unknown workload"),
+              std::string::npos);
+}
+
+TEST(Containment, ClassifierMapsEveryFailureType)
+{
+    const auto classify = [](auto thrown) {
+        return classifyFailure(std::make_exception_ptr(thrown));
+    };
+
+    const RunError contained =
+        classify(ContainedFailure{true, "invariant broke"});
+    EXPECT_EQ(contained.kind, RunErrorKind::Contained);
+    EXPECT_EQ(contained.what, "invariant broke");
+
+    const RunError cancelled = classify(JobCancelled{});
+    EXPECT_EQ(cancelled.kind, RunErrorKind::Interrupted);
+    EXPECT_NE(cancelled.what.find("SIGINT"), std::string::npos);
+
+    const RunError io = classify(trace::TraceIoFailure{
+        trace::TraceError{trace::TraceErrorKind::Io, "disk full", 0, -1}});
+    EXPECT_EQ(io.kind, RunErrorKind::TraceIo);
+    EXPECT_NE(io.what.find("disk full"), std::string::npos);
+
+    const RunError alloc = classify(std::bad_alloc{});
+    EXPECT_EQ(alloc.kind, RunErrorKind::Contained);
+    EXPECT_NE(alloc.what.find("bad_alloc"), std::string::npos);
+
+    const RunError other = classify(std::runtime_error("boom"));
+    EXPECT_EQ(other.kind, RunErrorKind::Contained);
+    EXPECT_EQ(other.what, "boom");
 }
 
 TEST(Containment, RunAllIsolatesFailuresPerCell)
 {
-    // Fault only the IPC_alone reference runs (p=1: every attempt,
-    // including runAll's precompute pass): the rate job completes, the
-    // mix job fails — in the same sweep, through the same pool.
-    RunnerOptions options = fastOptions();
-    options.faultSpec = "throw@alone.run:p=1";
-    Runner runner(options);
+    // IPC_alone of an unknown benchmark fails on its own, and in a
+    // sweep it fails only the mix cell that needs it: the rate job
+    // completes in the same pool.
+    Runner runner(fastOptions());
+    const auto alone = runner.tryIpcAlone("no-such-benchmark");
+    ASSERT_FALSE(alone.hasValue());
+    EXPECT_EQ(alone.error().kind, RunErrorKind::Contained);
+    EXPECT_EQ(alone.error().phase, JobPhase::IpcAlone);
 
-    std::vector<RunJob> jobs;
-    RunJob rate;
-    rate.rateBenchmark = "wrf";
-    jobs.push_back(rate);
+    MixSpec broken = tableThreeMixes().front();
+    broken.name = "broken-mix";
+    broken.benchmarks.back() = "no-such-benchmark";
+
+    std::vector<RunJob> jobs{rateJob("wrf")};
     RunJob mix;
-    mix.mix = &tableThreeMixes().front();
+    mix.mix = &broken;
     jobs.push_back(mix);
 
     const auto outcomes = runner.runAll(jobs);
@@ -224,6 +195,34 @@ TEST(Containment, RunAllIsolatesFailuresPerCell)
     ASSERT_FALSE(outcomes[1].hasValue());
     EXPECT_EQ(outcomes[1].error().kind, RunErrorKind::Contained);
     EXPECT_EQ(outcomes[1].error().phase, JobPhase::IpcAlone);
+    EXPECT_EQ(outcomes[1].error().workload, "broken-mix");
+}
+
+TEST(Containment, ReplayedMixFailsInIpcAlone)
+{
+    // A replayed mix takes its streams from the corpus, so only its
+    // IPC_alone reference runs build generators from the mix's names.
+    const std::string path = tempPath("replay-mix");
+    {
+        RunnerOptions options = fastOptions();
+        options.traceOutPath = path;
+        Runner recorder(options);
+        ASSERT_TRUE(recorder.tryRun(rateJob("wrf")).hasValue());
+    }
+    RunnerOptions options = fastOptions();
+    options.traceInPath = path;
+    Runner runner(options);
+
+    MixSpec broken = tableThreeMixes().front();
+    broken.name = "broken-mix";
+    broken.benchmarks.front() = "no-such-benchmark";
+    RunJob mix;
+    mix.mix = &broken;
+    const RunOutcome outcome = runner.tryRun(mix);
+    ASSERT_FALSE(outcome.hasValue());
+    EXPECT_EQ(outcome.error().phase, JobPhase::IpcAlone);
+    EXPECT_EQ(outcome.error().workload, "broken-mix");
+    std::remove(path.c_str());
 }
 
 TEST(Containment, CleanRunnerIsUnaffectedByPlumbing)
@@ -231,34 +230,45 @@ TEST(Containment, CleanRunnerIsUnaffectedByPlumbing)
     // The resilience layer must not perturb results: a clean runner
     // with no knobs set produces the same stats as always.
     Runner runner(fastOptions());
-    const RunOutcome outcome = runner.tryRun([] {
-        RunJob job;
-        job.rateBenchmark = "wrf";
-        return job;
-    }());
+    const RunOutcome outcome = runner.tryRun(rateJob("wrf"));
     ASSERT_TRUE(outcome.hasValue());
     EXPECT_GT(outcome->stats.ipcTotal, 0.0);
 }
 
 // ---------------------------------------------------------------------
-// Watchdog and interrupts
+// Recording to a full disk
 
-TEST(Watchdog, HangBecomesTimeoutFailureWithDiagnostics)
+TEST(TraceIo, DiskFullDuringWarmupFailsTheCell)
 {
-    RunnerOptions options = fastOptions();
-    options.faultSpec = "stall@job.measure";
-    options.jobTimeoutSeconds = 0.25;
-    options.traceCapacity = 64; // give diagnostics an event tail
-    Runner runner(options);
-    RunJob job;
-    job.rateBenchmark = "wrf";
-    const RunOutcome outcome = runner.tryRun(job);
+    // 20k warm-up references per core fill the first 4096-record chunk
+    // of every core long before the measured phase.
+    SKIP_WITHOUT_FULL_DISK();
+    Runner runner(fullDiskOptions());
+    const RunOutcome outcome = runner.tryRun(rateJob("wrf"));
     ASSERT_FALSE(outcome.hasValue());
-    const RunError &err = outcome.error();
-    EXPECT_EQ(err.kind, RunErrorKind::Timeout);
-    EXPECT_NE(err.what.find("watchdog"), std::string::npos);
-    EXPECT_FALSE(err.diagnostics.empty());
+    EXPECT_EQ(outcome.error().kind, RunErrorKind::TraceIo);
+    EXPECT_EQ(outcome.error().phase, JobPhase::Warmup);
 }
+
+TEST(TraceIo, OnlyTheFirstJobRecords)
+{
+    // The recording claim stays with the first job even when it fails:
+    // one disk-full cell, executed once, and the later jobs of the
+    // sweep run unrecorded and complete.
+    SKIP_WITHOUT_FULL_DISK();
+    Runner runner(fullDiskOptions());
+    const auto outcomes = runner.runAll(
+        {rateJob("wrf"), rateJob("mcf"), rateJob("libquantum")});
+    ASSERT_EQ(outcomes.size(), 3u);
+    ASSERT_FALSE(outcomes[0].hasValue());
+    EXPECT_EQ(outcomes[0].error().kind, RunErrorKind::TraceIo);
+    EXPECT_EQ(outcomes[0].error().workload, "wrf");
+    ASSERT_TRUE(outcomes[1].hasValue()) << outcomes[1].error().message();
+    ASSERT_TRUE(outcomes[2].hasValue()) << outcomes[2].error().message();
+}
+
+// ---------------------------------------------------------------------
+// Interrupts
 
 TEST(Interrupt, SignalDrainsSweepWithExitCode130)
 {
@@ -269,11 +279,7 @@ TEST(Interrupt, SignalDrainsSweepWithExitCode130)
         {
             Runner runner(fastOptions());
             std::raise(SIGINT);
-            std::vector<RunJob> jobs;
-            RunJob job;
-            job.rateBenchmark = "wrf";
-            jobs.push_back(job);
-            const auto outcomes = runner.runAll(jobs);
+            const auto outcomes = runner.runAll({rateJob("wrf")});
             const bool drained = !outcomes[0].hasValue()
                 && outcomes[0].error().kind == RunErrorKind::Interrupted;
             std::exit(drained && interruptRequested() ? 130 : 1);
@@ -281,45 +287,30 @@ TEST(Interrupt, SignalDrainsSweepWithExitCode130)
         ::testing::ExitedWithCode(130), "");
 }
 
-// ---------------------------------------------------------------------
-// Transient trace-I/O retry
-
-TEST(Retry, TransientTraceIoFailureRetriesAndSucceeds)
+TEST(Interrupt, SignalUnwindsTheRunningJob)
 {
-    const std::string path = tempPath("transient");
-    RunnerOptions options = fastOptions();
-    options.traceOutPath = path;
-    options.faultSpec = "trace-io@trace.write:n=1";
-    Runner runner(options);
-    RunJob job;
-    job.rateBenchmark = "wrf";
-    const RunOutcome outcome = runner.tryRun(job);
-    ASSERT_TRUE(outcome.hasValue())
-        << outcome.error().message();
-    EXPECT_GE(fault::injector().firedAt("trace.write"), 1u);
-
-    // The retry re-recorded from scratch: the corpus is complete and
-    // readable, not the poisoned first attempt.
-    auto reader = trace::TraceReader::open(path);
-    ASSERT_TRUE(reader.hasValue());
-    EXPECT_EQ(reader.value().meta().workload, "wrf");
-    std::remove(path.c_str());
-}
-
-TEST(Retry, ExhaustedRetriesSurfaceAsTraceIoError)
-{
-    const std::string path = tempPath("exhausted");
-    RunnerOptions options = fastOptions();
-    options.traceOutPath = path;
-    options.faultSpec = "trace-io@trace.write:p=1"; // every attempt
-    Runner runner(options);
-    RunJob job;
-    job.rateBenchmark = "wrf";
-    const RunOutcome outcome = runner.tryRun(job);
-    ASSERT_FALSE(outcome.hasValue());
-    EXPECT_EQ(outcome.error().kind, RunErrorKind::TraceIo);
-    EXPECT_EQ(outcome.error().attempts, 3u);
-    std::remove(path.c_str());
+    // A SIGINT 200 ms into a warm-up of 2M references per core reaches
+    // the running job through the signal flag: it unwinds at its next
+    // checkpoint as `interrupted` in warmup, long before the warm-up
+    // would have finished.
+    EXPECT_EXIT(
+        {
+            RunnerOptions options = fastOptions();
+            options.warmupRefsPerCore = 2000000;
+            Runner runner(options);
+            std::thread interrupter([] {
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(200));
+                ::kill(::getpid(), SIGINT);
+            });
+            const RunOutcome outcome = runner.tryRun(rateJob("wrf"));
+            interrupter.join();
+            const bool unwound = !outcome.hasValue()
+                && outcome.error().kind == RunErrorKind::Interrupted
+                && outcome.error().phase == JobPhase::Warmup;
+            std::exit(unwound ? 130 : 1);
+        },
+        ::testing::ExitedWithCode(130), "");
 }
 
 // ---------------------------------------------------------------------
@@ -327,50 +318,34 @@ TEST(Retry, ExhaustedRetriesSurfaceAsTraceIoError)
 
 TEST(TraceWriterFault, WriteFailureSurfacesAtSealAndPoisonsWriter)
 {
-    InjectorGuard guard;
-    auto plan = fault::parseFaultSpec("trace-io@trace.write:n=1");
-    fault::injector().arm(std::move(*plan));
-
-    const std::string path = tempPath("writer-seal");
+    SKIP_WITHOUT_FULL_DISK();
     trace::TraceMeta meta;
     meta.workload = "synthetic";
     meta.coreCount = 1;
-    auto writer = trace::TraceWriter::create(path, meta);
+    auto writer = trace::TraceWriter::create(kFullDisk, meta);
     ASSERT_TRUE(writer.hasValue());
 
-    // The fault poisons the stream on the first append; the failure is
-    // observed at the chunk seal, after which every append fails fast.
+    // Records buffer in the open chunk; the record that fills it seals
+    // the chunk, and that write fails.  Every later append fails fast.
     MemRef ref{};
-    bool saw_error = false;
-    for (std::uint32_t i = 0; i < trace::kMaxChunkRecords; ++i) {
-        auto r = writer.value().append(0, ref);
-        if (!r.hasValue()) {
-            saw_error = true;
-            break;
-        }
-    }
-    EXPECT_TRUE(saw_error) << "seal failure never surfaced";
+    for (std::uint32_t i = 0; i + 1 < trace::kMaxChunkRecords; ++i)
+        ASSERT_TRUE(writer.value().append(0, ref).hasValue()) << i;
+    EXPECT_FALSE(writer.value().append(0, ref).hasValue());
     EXPECT_FALSE(writer.value().append(0, ref).hasValue());
     EXPECT_FALSE(writer.value().finish().hasValue());
-    std::remove(path.c_str());
 }
 
 TEST(TraceWriterFault, FinishFailureSurfaces)
 {
-    InjectorGuard guard;
-    auto plan = fault::parseFaultSpec("trace-io@trace.finish");
-    fault::injector().arm(std::move(*plan));
-
-    const std::string path = tempPath("writer-finish");
+    SKIP_WITHOUT_FULL_DISK();
     trace::TraceMeta meta;
     meta.workload = "synthetic";
     meta.coreCount = 1;
-    auto writer = trace::TraceWriter::create(path, meta);
+    auto writer = trace::TraceWriter::create(kFullDisk, meta);
     ASSERT_TRUE(writer.hasValue());
     MemRef ref{};
     EXPECT_TRUE(writer.value().append(0, ref).hasValue());
     EXPECT_FALSE(writer.value().finish().hasValue());
-    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------
@@ -475,11 +450,9 @@ TEST(Journal, TornTailIsTruncatedSealedEntriesKept)
 
 TEST(Journal, ResumeSkipsJournaledCellsAndRestoresBitIdentical)
 {
+    SKIP_WITHOUT_FULL_DISK();
     const std::string path = tempPath("resume");
     std::remove(path.c_str());
-
-    RunJob job;
-    job.rateBenchmark = "wrf";
 
     // Phase 1: complete the cell under a journal.
     std::string first_json;
@@ -487,46 +460,67 @@ TEST(Journal, ResumeSkipsJournaledCellsAndRestoresBitIdentical)
         RunnerOptions options = fastOptions();
         options.journalPath = path;
         Runner runner(options);
-        const RunOutcome outcome = runner.tryRun(job);
+        const RunOutcome outcome = runner.tryRun(rateJob("wrf"));
         ASSERT_TRUE(outcome.hasValue());
         first_json = runResultToJson(*outcome);
     }
 
-    // Phase 2: same journal, but every *executed* job would fail at
-    // warm-up.  The journaled cell must come back from disk — proving
-    // it was never re-executed — and byte-identical.
+    // Phase 2: same journal, but the first executed job records to a
+    // full disk and fails.  The journaled cell must come back from
+    // disk — proving it was never executed — and byte-identical.
     {
-        RunnerOptions options = fastOptions();
+        RunnerOptions options = fullDiskOptions();
         options.journalPath = path;
-        options.faultSpec = "throw@job.warmup";
         Runner runner(options);
         ASSERT_NE(runner.journal(), nullptr);
         EXPECT_EQ(runner.journal()->results().size(), 1u);
 
-        const RunOutcome resumed = runner.tryRun(job);
+        const RunOutcome resumed = runner.tryRun(rateJob("wrf"));
         ASSERT_TRUE(resumed.hasValue());
         EXPECT_EQ(runResultToJson(*resumed), first_json);
 
         // A cell not in the journal still executes (and here, fails).
-        RunJob fresh;
-        fresh.rateBenchmark = "mcf";
-        EXPECT_FALSE(runner.tryRun(fresh).hasValue());
+        const RunOutcome fresh = runner.tryRun(rateJob("mcf"));
+        ASSERT_FALSE(fresh.hasValue());
+        EXPECT_EQ(fresh.error().kind, RunErrorKind::TraceIo);
     }
+    std::remove(path.c_str());
+}
+
+TEST(Journal, ExplicitDefaultOverrideAddsNoEntry)
+{
+    // An override equal to the runner's own value is the default job:
+    // it is served from the memo and never journaled a second time.
+    const std::string path = tempPath("canonical");
+    std::remove(path.c_str());
+    RunnerOptions options = fastOptions();
+    options.journalPath = path;
+    {
+        Runner runner(options);
+        ASSERT_TRUE(runner.tryRun(rateJob("wrf")).hasValue());
+        RunJob spelled = rateJob("wrf");
+        spelled.bandwidthRatio = options.bandwidthRatio;
+        spelled.totalBanks = options.totalBanks;
+        spelled.cacheCapacityBytes = options.cacheCapacityBytes;
+        ASSERT_TRUE(runner.tryRun(spelled).hasValue());
+    }
+    auto journal = ResultJournal::openOrCreate(path, options.fingerprint());
+    ASSERT_TRUE(journal.hasValue());
+    EXPECT_EQ(journal->results().size(), 1u);
     std::remove(path.c_str());
 }
 
 TEST(Journal, FaultedSweepResumesToByteIdenticalReport)
 {
-    // The §11 acceptance shape in miniature: a faulted sweep yields a
-    // partial report; resuming against the journal completes it; the
-    // completed report is byte-identical to an unfaulted run's.
+    // The §11 acceptance shape in miniature: a sweep that records to a
+    // full disk yields a partial report; resuming against the journal
+    // completes it; the completed report is byte-identical to a clean
+    // run's.
+    SKIP_WITHOUT_FULL_DISK();
     const std::string path = tempPath("acceptance");
     std::remove(path.c_str());
 
-    std::vector<RunJob> jobs;
-    RunJob rate;
-    rate.rateBenchmark = "wrf";
-    jobs.push_back(rate);
+    std::vector<RunJob> jobs{rateJob("wrf")};
     RunJob mix;
     mix.mix = &tableThreeMixes().front();
     jobs.push_back(mix);
@@ -539,30 +533,30 @@ TEST(Journal, FaultedSweepResumesToByteIdenticalReport)
             runner, jobs, DesignKind::Alloy, {DesignKind::Bear});
         ASSERT_TRUE(cmp.complete());
         EXPECT_EQ(exitStatus(cmp), 0);
-        clean_json = comparisonToJson("chaos", cmp);
+        clean_json = comparisonToJson("sweep", cmp);
         // A clean report never mentions failures.
         EXPECT_EQ(clean_json.find("failure"), std::string::npos);
     }
 
-    // Faulted sweep: IPC_alone runs throw, so the mix cells fail while
-    // the rate cells complete and land in the journal.
+    // Failed sweep: the first cell's recording hits the full disk, the
+    // other cells complete and land in the journal.
     {
-        RunnerOptions options = fastOptions();
+        RunnerOptions options = fullDiskOptions();
         options.journalPath = path;
-        options.faultSpec = "throw@alone.run:p=1";
         Runner runner(options);
         const Comparison cmp = compareDesigns(
             runner, jobs, DesignKind::Alloy, {DesignKind::Bear});
         EXPECT_FALSE(cmp.complete());
+        EXPECT_EQ(cmp.failures.size(), 1u);
         EXPECT_EQ(exitStatus(cmp), 3);
-        const std::string partial = comparisonToJson("chaos", cmp);
+        const std::string partial = comparisonToJson("sweep", cmp);
         EXPECT_NE(partial.find("failures"), std::string::npos);
-        EXPECT_NE(partial.find("ipc_alone"), std::string::npos);
+        EXPECT_NE(partial.find("trace-io"), std::string::npos);
     }
 
-    // Resume: only the failed/missing cells execute; the final report
-    // mixes journaled and fresh results and must equal the reference
-    // byte for byte.
+    // Resume: only the failed cell executes; the final report mixes
+    // journaled and fresh results and must equal the reference byte
+    // for byte.
     {
         RunnerOptions options = fastOptions();
         options.journalPath = path;
@@ -570,7 +564,7 @@ TEST(Journal, FaultedSweepResumesToByteIdenticalReport)
         const Comparison cmp = compareDesigns(
             runner, jobs, DesignKind::Alloy, {DesignKind::Bear});
         ASSERT_TRUE(cmp.complete());
-        EXPECT_EQ(comparisonToJson("chaos", cmp), clean_json);
+        EXPECT_EQ(comparisonToJson("sweep", cmp), clean_json);
     }
     std::remove(path.c_str());
 }

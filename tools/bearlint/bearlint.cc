@@ -19,9 +19,8 @@
  *         prove the lock discipline.
  *   BL004 nondeterminism      wall-clock or ambient-randomness seams
  *         (rand, std::random_device, system_clock, gettimeofday, ...)
- *         outside the sanctioned sites (sim/runner.cc watchdog,
- *         common/fault.cc).  Everything else must draw from the
- *         seeded Rng so runs stay bit-for-bit reproducible.
+ *         anywhere.  Everything must draw from the seeded Rng so runs
+ *         stay bit-for-bit reproducible.
  *   BL005 include-hygiene     headers must open with a matching
  *         `#ifndef BEAR_..._HH` / `#define` guard (no #pragma once)
  *         and must not contain `using namespace` at any scope.
@@ -95,8 +94,7 @@ const RuleInfo kRules[] = {
      "std::mutex/condition_variable/lock_guard family outside "
      "common/sync.hh (use bear::Mutex/MutexLock/CondVar)"},
     {"BL004", "nondeterminism",
-     "wall-clock or ambient randomness outside sim/runner.cc / "
-     "common/fault.cc (use the seeded Rng)"},
+     "wall-clock or ambient randomness (use the seeded Rng)"},
     {"BL005", "include-hygiene",
      "header missing a BEAR_*_HH include guard, or `using "
      "namespace` in a header"},
@@ -465,7 +463,7 @@ matchBackward(const std::vector<Token> &t, long close)
 /**
  * Walk backwards over the postfix chain that ends at @p idx (the
  * callee name): `journal_->appendResult`, `writer.finish`,
- * `fault::parseFaultSpec`, `a.b().c`.  Returns the index of the first
+ * `trace::TraceReader::open`, `a.b().c`.  Returns the index of the first
  * token *before* the chain (-1 when the chain opens the file).
  */
 long
@@ -613,11 +611,6 @@ checkNakedMutex(const FileData &fd, Reporter &out)
 void
 checkNondeterminism(const FileData &fd, Reporter &out)
 {
-    // The watchdog (steady_clock, sanctioned) and the injector live
-    // here; they are the only places wall-clock may enter.
-    if (endsWith(fd.display, "src/sim/runner.cc")
-        || endsWith(fd.display, "src/common/fault.cc"))
-        return;
     static const std::set<std::string> kBannedTypes = {
         "random_device", "system_clock", "high_resolution_clock"};
     static const std::set<std::string> kBannedCalls = {
@@ -634,8 +627,7 @@ checkNondeterminism(const FileData &fd, Reporter &out)
             if (prev == "::") {
                 out.report(fd, t[i].line, "BL004",
                            "nondeterministic '" + t[i].text
-                               + "' outside the runner/fault seams; "
-                                 "derive from the seeded Rng");
+                               + "'; derive from the seeded Rng");
             }
             continue;
         }
@@ -650,8 +642,7 @@ checkNondeterminism(const FileData &fd, Reporter &out)
                 continue;
             out.report(fd, t[i].line, "BL004",
                        "wall-clock / ambient randomness '" + t[i].text
-                           + "()' outside the runner/fault seams; "
-                             "derive from the seeded Rng");
+                           + "()'; derive from the seeded Rng");
         }
     }
 }

@@ -13,14 +13,14 @@
 #      diff the live and replayed JSON reports byte for byte
 #   5. sanitizers: rebuild and rerun the suite under ASan+UBSan
 #      (any report is fatal: -fno-sanitize-recover=all)
-#   6. chaos smoke (DESIGN.md §11, under the sanitizer build): a
-#      fault-injected nine-design sweep must exit 3 with a partial
-#      report and a journal of the completed cells; resuming against
-#      that journal must finish cleanly with a JSON report
-#      byte-identical to an unfaulted run's
+#   6. disk-full smoke (DESIGN.md §11, under the sanitizer build): a
+#      fig12 sweep recording to /dev/full must exit 3 with a partial
+#      report naming the trace-io cell and a journal of the completed
+#      cells; resuming against that journal must finish cleanly with a
+#      JSON report and stdout byte-identical to a clean run's
 #   7. ThreadSanitizer: rebuild with BEAR_SANITIZE=thread and drive
 #      the worker pool hard (BEAR_WORKERS=4 fig12 sweep) plus the
-#      chaos faulted->resume contract, so the lock discipline that
+#      disk-full partial->resume contract, so the lock discipline that
 #      clang's static analysis proves on paper is also checked under
 #      real interleavings
 #   8. static analysis: tools/lint.sh (bearlint always; clang-tidy
@@ -75,62 +75,57 @@ cmake -B build-san -S . -DBEAR_SANITIZE=address,undefined >/dev/null
 cmake --build build-san -j "${jobs}"
 ctest --test-dir build-san --output-on-failure -j "${jobs}"
 
-echo "=== [6/10] chaos smoke (faulted sweep -> partial -> resume)"
-chaos_env=(BEAR_WARMUP=10000 BEAR_MEASURE=5000)
-journal="${workdir}/chaos.journal"
-
-# Reference: unfaulted sweep, exit 0, clean report.
-env "${chaos_env[@]}" BEAR_JSON="${workdir}/chaos-clean.jsonl" \
-    build-san/tools/chaos_sweep >/dev/null
-
-# Faulted sweep: ~30% of measurement phases throw.  The sweep must
-# survive (partial report, exit 3) and journal every completed cell.
-rc=0
-env "${chaos_env[@]}" BEAR_FAULT='throw@job.measure:p=0.3' \
-    BEAR_JOURNAL="${journal}" \
-    BEAR_JSON="${workdir}/chaos-partial.jsonl" \
-    build-san/tools/chaos_sweep >/dev/null 2>&1 || rc=$?
-if [[ "${rc}" -ne 3 ]]; then
-    echo "chaos: faulted sweep exited ${rc}, expected 3 (partial)" >&2
-    exit 1
-fi
-grep -q '"failures"' "${workdir}/chaos-partial.jsonl" || {
-    echo "chaos: partial report carries no failures array" >&2
-    exit 1
+echo "=== [6/10] disk-full smoke (failed sweep -> partial -> resume)"
+# sweep_contract BIN TAG ENV...: BIN run with ENV must match a clean
+# run after a /dev/full recording fails it and a resume completes it.
+sweep_contract() {
+    local bin="$1" tag="$2"
+    shift 2
+    local out="${workdir}/${tag}"
+    if ! [[ -w /dev/full ]]; then
+        echo "/dev/full is not writable; skipping the ${tag}" \
+             "disk-full contract" >&2
+        return 0
+    fi
+    # Reference: clean sweep, exit 0, clean report.
+    env "$@" BEAR_JSON="${out}-clean.jsonl" "${bin}" \
+        > "${out}-clean.stdout"
+    # The first executed cell records to a full disk and fails with
+    # trace-io; the sweep survives (partial report, exit 3) and
+    # journals every completed cell.
+    local rc=0
+    env "$@" BEAR_TRACE_OUT=/dev/full BEAR_JOURNAL="${out}.journal" \
+        BEAR_JSON="${out}-partial.jsonl" "${bin}" \
+        >/dev/null 2>&1 || rc=$?
+    if [[ "${rc}" -ne 3 ]]; then
+        echo "${tag}: disk-full sweep exited ${rc}, expected 3" >&2
+        exit 1
+    fi
+    grep -q '"failures"' "${out}-partial.jsonl" \
+        && grep -q '"trace-io"' "${out}-partial.jsonl" || {
+        echo "${tag}: partial report names no trace-io failure" >&2
+        exit 1
+    }
+    # Resume: only the failed cell re-executes; the completed report
+    # and table must be byte-identical to the clean run's.
+    env "$@" BEAR_JOURNAL="${out}.journal" \
+        BEAR_JSON="${out}-final.jsonl" "${bin}" > "${out}-final.stdout"
+    diff "${out}-clean.jsonl" "${out}-final.jsonl"
+    diff "${out}-clean.stdout" "${out}-final.stdout"
 }
+sweep_contract build-san/bench/fig12_overall san \
+    BEAR_WARMUP=10000 BEAR_MEASURE=5000
 
-# Resume: only failed/missing cells re-execute; the completed report
-# must be byte-identical to the unfaulted run's.
-env "${chaos_env[@]}" BEAR_JOURNAL="${journal}" \
-    BEAR_JSON="${workdir}/chaos-final.jsonl" \
-    build-san/tools/chaos_sweep >/dev/null
-diff "${workdir}/chaos-clean.jsonl" "${workdir}/chaos-final.jsonl"
-
-echo "=== [7/10] ThreadSanitizer (threaded sweep + chaos contract)"
+echo "=== [7/10] ThreadSanitizer (threaded sweep + disk-full contract)"
 cmake -B build-tsan -S . -DBEAR_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "${jobs}"
 # Drive the worker pool with real contention: every design of the
-# overall sweep across four workers.  Any data race aborts the run
-# (-fno-sanitize-recover=all).
-BEAR_WORKERS=4 BEAR_WARMUP=2000 BEAR_MEASURE=1000 \
-    BEAR_JSON="${workdir}/tsan-fig12.jsonl" \
-    build-tsan/bench/fig12_overall >/dev/null
-# The chaos contract must hold under TSan too: faulted sweep exits 3,
-# the resume against its journal completes cleanly.
-rc=0
-BEAR_WORKERS=4 BEAR_WARMUP=2000 BEAR_MEASURE=1000 \
-    BEAR_FAULT='throw@job.measure:p=0.3' \
-    BEAR_JOURNAL="${workdir}/tsan-chaos.journal" \
-    BEAR_JSON="${workdir}/tsan-chaos-partial.jsonl" \
-    build-tsan/tools/chaos_sweep >/dev/null 2>&1 || rc=$?
-if [[ "${rc}" -ne 3 ]]; then
-    echo "tsan chaos: faulted sweep exited ${rc}, expected 3" >&2
-    exit 1
-fi
-BEAR_WORKERS=4 BEAR_WARMUP=2000 BEAR_MEASURE=1000 \
-    BEAR_JOURNAL="${workdir}/tsan-chaos.journal" \
-    BEAR_JSON="${workdir}/tsan-chaos-final.jsonl" \
-    build-tsan/tools/chaos_sweep >/dev/null
+# overall sweep across four workers, failing and resuming.  Any data
+# race aborts the run (-fno-sanitize-recover=all).  At 3k references
+# per core no chunk fills, so the disk-full failure surfaces at the
+# recording's finish().
+sweep_contract build-tsan/bench/fig12_overall tsan \
+    BEAR_WORKERS=4 BEAR_WARMUP=2000 BEAR_MEASURE=1000
 
 echo "=== [8/10] static analysis (bearlint + clang-tidy)"
 tools/lint.sh build
