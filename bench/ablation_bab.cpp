@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
+#include "common/stats.hh"
 #include "common/table.hh"
 #include "sim/system.hh"
 #include "workloads/workload.hh"
@@ -76,7 +77,7 @@ geomeanSpeedup(const AlloyConfig &variant,
 int
 main()
 {
-    RunnerOptions options = RunnerOptions::fromEnv();
+    RunnerOptions options = bench::ablationOptionsFromEnv();
     printExperimentHeader(
         "Ablation: BAB parameters",
         "Bypass probability and hit-rate-retention sweep",

@@ -60,7 +60,7 @@ run(const char *workload, const Variant &variant,
 int
 main()
 {
-    RunnerOptions options = RunnerOptions::fromEnv();
+    RunnerOptions options = bench::ablationOptionsFromEnv();
     printExperimentHeader(
         "Extension: Temporal Tag Cache",
         "BAB+DCP combined with spatial (NTC) and temporal (TTC) tag "

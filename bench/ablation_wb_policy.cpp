@@ -23,7 +23,7 @@ using namespace bear;
 int
 main()
 {
-    RunnerOptions options = RunnerOptions::fromEnv();
+    RunnerOptions options = bench::ablationOptionsFromEnv();
     printExperimentHeader(
         "Ablation: writeback allocation",
         "Alloy baseline with writeback-miss no-allocate vs allocate",

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/log.hh"
 #include "common/table.hh"
 #include "sim/experiment.hh"
 
@@ -92,6 +93,25 @@ averageOver(const std::vector<ComparisonRow> &rows, int design_idx,
         ++counted;
     }
     return counted == 0 ? 0.0 : sum / static_cast<double>(counted);
+}
+
+/**
+ * RunnerOptions::fromEnv() for the ablation binaries.  They build
+ * their own Systems from live generators instead of running jobs
+ * through the Runner, so of the knobs they honor only BEAR_FULL,
+ * BEAR_SCALE, BEAR_WARMUP and BEAR_MEASURE; a replay corpus is an
+ * error before any simulation rather than silently ignored.
+ */
+inline RunnerOptions
+ablationOptionsFromEnv()
+{
+    RunnerOptions options = RunnerOptions::fromEnv();
+    if (!options.traceInPath.empty()) {
+        bear_fatal("BEAR_TRACE_IN=", options.traceInPath,
+                   ": ablation binaries generate their own streams and "
+                   "cannot replay a trace");
+    }
+    return options;
 }
 
 /** Bandwidth-sensitive subset for the sensitivity sweeps: the eight

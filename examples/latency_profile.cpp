@@ -3,7 +3,7 @@
  * Observability tour: run one workload with the event trace enabled
  * and read the run as *distributions* instead of averages — latency
  * percentiles, queue-depth histogram, per-bank utilization, and the
- * tail of the event trace.
+ * event trace's per-kind event counts.
  *
  *   ./latency_profile [workload] [design]
  *

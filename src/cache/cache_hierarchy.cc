@@ -1,75 +1,26 @@
 #include "cache/cache_hierarchy.hh"
 
-#include "common/log.hh"
-
 namespace bear
 {
 
 CacheHierarchy::CacheHierarchy(const HierarchyConfig &config)
-    : config_(config)
+    : l3_(config.l3)
 {
-    bear_assert(config.cores > 0, "hierarchy needs at least one core");
-    if (config.modelL1L2) {
-        for (std::uint32_t c = 0; c < config.cores; ++c) {
-            l1_.push_back(std::make_unique<SramCache>(config.l1));
-            l2_.push_back(std::make_unique<SramCache>(config.l2));
-        }
-    }
-    l3_ = std::make_unique<SramCache>(config.l3);
 }
 
 HierarchyOutcome
-CacheHierarchy::access(CoreId core, LineAddr line, bool is_write)
+CacheHierarchy::access(CoreId, LineAddr line, bool is_write)
 {
     HierarchyOutcome outcome;
-
-    if (config_.modelL1L2) {
-        bear_assert(core < config_.cores, "core id out of range");
-        SramCache &l1 = *l1_[core];
-        SramCache &l2 = *l2_[core];
-
-        outcome.onChipLatency += l1.config().latency;
-        if (l1.access(line, is_write).hit)
-            return outcome;
-
-        outcome.onChipLatency += l2.config().latency;
-        const bool l2_hit = l2.access(line, false).hit;
-        if (l2_hit) {
-            // Refill L1; a dirty L1 victim is absorbed by the L2.
-            const SramEviction ev = l1.fill(line, is_write, false);
-            if (ev.valid && ev.dirty) {
-                if (!l2.access(ev.line, true).hit)
-                    l2.fill(ev.line, true, false);
-            }
-            return outcome;
-        }
-    }
-
-    outcome.onChipLatency += l3_->config().latency;
-    if (l3_->access(line, is_write).hit) {
-        if (config_.modelL1L2) {
-            SramCache &l1 = *l1_[core];
-            SramCache &l2 = *l2_[core];
-            const SramEviction ev2 = l2.fill(line, false, false);
-            if (ev2.valid && ev2.dirty)
-                l3_->access(ev2.line, true); // non-inclusive: may miss
-            const SramEviction ev1 = l1.fill(line, is_write, false);
-            if (ev1.valid && ev1.dirty) {
-                if (!l2.access(ev1.line, true).hit)
-                    l2.fill(ev1.line, true, false);
-            }
-        }
-        return outcome;
-    }
-
-    outcome.llcMiss = true;
+    outcome.onChipLatency = l3_.config().latency;
+    outcome.llcMiss = !l3_.access(line, is_write).hit;
     return outcome;
 }
 
 std::optional<WritebackRequest>
 CacheHierarchy::fillLlc(LineAddr line, bool is_write, bool dcp)
 {
-    const SramEviction ev = l3_->fill(line, is_write, dcp);
+    const SramEviction ev = l3_.fill(line, is_write, dcp);
     if (!ev.valid || !ev.dirty)
         return std::nullopt;
     return WritebackRequest{ev.line, ev.dcp, 0};
@@ -78,34 +29,14 @@ CacheHierarchy::fillLlc(LineAddr line, bool is_write, bool dcp)
 void
 CacheHierarchy::onDramCacheEviction(LineAddr line)
 {
-    l3_->clearPresence(line);
+    l3_.clearPresence(line);
 }
 
 bool
 CacheHierarchy::backInvalidate(LineAddr line)
 {
-    bool dirty_dropped = false;
-    if (config_.modelL1L2) {
-        for (std::uint32_t c = 0; c < config_.cores; ++c) {
-            const SramEviction e1 = l1_[c]->invalidate(line);
-            dirty_dropped |= e1.valid && e1.dirty;
-            const SramEviction e2 = l2_[c]->invalidate(line);
-            dirty_dropped |= e2.valid && e2.dirty;
-        }
-    }
-    const SramEviction e3 = l3_->invalidate(line);
-    dirty_dropped |= e3.valid && e3.dirty;
-    return dirty_dropped;
-}
-
-void
-CacheHierarchy::resetStats()
-{
-    for (auto &c : l1_)
-        c->resetStats();
-    for (auto &c : l2_)
-        c->resetStats();
-    l3_->resetStats();
+    const SramEviction ev = l3_.invalidate(line);
+    return ev.valid && ev.dirty;
 }
 
 } // namespace bear

@@ -1,16 +1,12 @@
 /**
  * @file
- * The on-chip cache hierarchy: per-core L1/L2 plus a shared L3 LLC.
+ * The on-chip cache hierarchy: the shared L3 LLC in front of the L4.
  *
  * The paper's system is a four-level hierarchy (L1/L2/L3 SRAM, L4 DRAM
- * cache, Section 3.1) with a non-inclusive L3.  Two operating modes
- * are supported:
- *
- *  - full mode: references traverse L1 -> L2 -> L3 with cascading
- *    writebacks (used in examples and hierarchy tests);
- *  - LLC mode: the reference stream is already an L2-miss stream and
- *    goes straight to the L3 (used by the benchmark harnesses, whose
- *    workload generators are parameterised by L3 MPKI as in Table 2).
+ * cache, Section 3.1) with a non-inclusive L3.  The workload
+ * generators are parameterised by L3 MPKI (Table 2) and emit L2-miss
+ * streams, so only the L3 is modelled: every reference goes straight
+ * to it.
  *
  * The hierarchy reports which references miss the L3 (and therefore
  * access the DRAM cache) and which dirty L3 victims become writeback
@@ -20,10 +16,7 @@
 #ifndef BEAR_CACHE_CACHE_HIERARCHY_HH
 #define BEAR_CACHE_CACHE_HIERARCHY_HH
 
-#include <cstdint>
-#include <memory>
 #include <optional>
-#include <vector>
 
 #include "cache/sram_cache.hh"
 #include "common/types.hh"
@@ -34,10 +27,6 @@ namespace bear
 /** Configuration for the on-chip levels. */
 struct HierarchyConfig
 {
-    bool modelL1L2 = false; ///< full mode vs LLC mode
-    std::uint32_t cores = 8;
-    SramCacheConfig l1{"L1", 32ULL << 10, 8, 4, TagRepl::Lru};
-    SramCacheConfig l2{"L2", 256ULL << 10, 8, 12, TagRepl::Lru};
     SramCacheConfig l3{"L3", 8ULL << 20, 16, 24, TagRepl::Lru};
 };
 
@@ -48,17 +37,17 @@ struct HierarchyOutcome
     Cycle onChipLatency = 0; ///< cycles spent in on-chip levels
 };
 
-/** Four-level on-chip portion: per-core L1/L2, shared L3. */
+/** On-chip portion: the shared L3. */
 class CacheHierarchy
 {
   public:
     explicit CacheHierarchy(const HierarchyConfig &config);
 
     /**
-     * Run one reference from @p core through the on-chip levels.
-     * In full mode intermediate fills happen eagerly (their data comes
-     * from the inner levels); an L3 miss leaves the L3 unfilled until
-     * fillLlc() is called with the DRAM-cache outcome.
+     * Run one L2-miss reference through the shared L3 (@p core does
+     * not select anything: every core shares it).  An L3 miss leaves
+     * the L3 unfilled until fillLlc() is called with the DRAM-cache
+     * outcome.
      */
     HierarchyOutcome access(CoreId core, LineAddr line, bool is_write);
 
@@ -77,22 +66,18 @@ class CacheHierarchy
 
     /**
      * Inclusive DRAM cache evicted @p line: back-invalidate it from
-     * all on-chip levels.  Returns true if a dirty copy was dropped
-     * (its data must be forwarded to main memory by the caller).
+     * the L3.  Returns true if a dirty copy was dropped (its data must
+     * be forwarded to main memory by the caller).
      */
     bool backInvalidate(LineAddr line);
 
-    SramCache &llc() { return *l3_; }
-    const SramCache &llc() const { return *l3_; }
-    const HierarchyConfig &config() const { return config_; }
+    SramCache &llc() { return l3_; }
+    const SramCache &llc() const { return l3_; }
 
-    void resetStats();
+    void resetStats() { l3_.resetStats(); }
 
   private:
-    HierarchyConfig config_;
-    std::vector<std::unique_ptr<SramCache>> l1_; ///< per core
-    std::vector<std::unique_ptr<SramCache>> l2_; ///< per core
-    std::unique_ptr<SramCache> l3_;
+    SramCache l3_;
 };
 
 } // namespace bear

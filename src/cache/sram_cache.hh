@@ -2,9 +2,9 @@
  * @file
  * Set-associative writeback SRAM cache.
  *
- * Serves as L1/L2/L3 in the simulated hierarchy.  Beyond the ordinary
- * tag machinery it implements the two architectural hooks BEAR needs
- * in the on-chip LLC:
+ * Serves as the L3 LLC of the simulated hierarchy.  Beyond the
+ * ordinary tag machinery it implements the two architectural hooks
+ * BEAR needs in the on-chip LLC:
  *
  *  - the DRAM-Cache Presence (DCP) bit per line (paper Section 5.2):
  *    set when the fill was serviced by / installed in the DRAM cache,

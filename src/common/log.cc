@@ -30,12 +30,6 @@ ContainmentScope::~ContainmentScope()
     tls_containing = prev_;
 }
 
-bool
-ContainmentScope::active()
-{
-    return tls_containing;
-}
-
 [[noreturn]] void
 panicImpl(const char *file, int line, const std::string &msg)
 {

@@ -54,9 +54,6 @@ class ContainmentScope
     ContainmentScope(const ContainmentScope &) = delete;
     ContainmentScope &operator=(const ContainmentScope &) = delete;
 
-    /** Is the calling thread currently containing failures? */
-    static bool active();
-
   private:
     bool prev_;
 };

@@ -1,66 +1,9 @@
 #include "common/stats.hh"
 
 #include <cmath>
-#include <sstream>
 
 namespace bear
 {
-
-void
-Histogram::sample(std::uint64_t v)
-{
-    int bucket = 0;
-    while (v > 1 && bucket < kBuckets - 1) {
-        v >>= 1;
-        ++bucket;
-    }
-    ++buckets_[bucket];
-    ++count_;
-}
-
-void
-Histogram::reset()
-{
-    for (auto &b : buckets_)
-        b = 0;
-    count_ = 0;
-}
-
-std::uint64_t
-Histogram::percentileUpperBound(double q) const
-{
-    if (count_ == 0)
-        return 0;
-    const auto target =
-        static_cast<std::uint64_t>(q * static_cast<double>(count_));
-    std::uint64_t seen = 0;
-    for (int i = 0; i < kBuckets; ++i) {
-        seen += buckets_[i];
-        if (seen >= target)
-            return (1ULL << (i + 1)) - 1;
-    }
-    return ~0ULL;
-}
-
-void
-StatGroup::reset()
-{
-    for (auto &[name, c] : counters_)
-        c.reset();
-    for (auto &[name, a] : averages_)
-        a.reset();
-}
-
-std::string
-StatGroup::render() const
-{
-    std::ostringstream os;
-    for (const auto &[name, c] : counters_)
-        os << name_ << '.' << name << ' ' << c.value() << '\n';
-    for (const auto &[name, a] : averages_)
-        os << name_ << '.' << name << ' ' << a.mean() << '\n';
-    return os.str();
-}
 
 double
 geomean(const std::vector<double> &values)

@@ -1,117 +1,19 @@
 /**
  * @file
- * Lightweight statistics package.
+ * Summary statistics over finished runs.
  *
- * The simulator collects three kinds of statistics:
- *   - Counter:   monotonically increasing event counts,
- *   - Average:   running mean of a sampled quantity (e.g., latency),
- *   - Histogram: log2-bucketed distribution of a sampled quantity.
- *
- * A StatGroup owns named statistics and can render them as text;
- * groups can be reset at the warm-up/measurement boundary without
- * disturbing simulated state.
+ * Per-access distributions live in obs/histogram.hh; this header keeps
+ * the one aggregate the reports take over runs: the geometric mean of
+ * normalised speedups.
  */
 
 #ifndef BEAR_COMMON_STATS_HH
 #define BEAR_COMMON_STATS_HH
 
-#include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace bear
 {
-
-/** Monotonic event counter. */
-class Counter
-{
-  public:
-    void operator+=(std::uint64_t n) { value_ += n; }
-    void inc() { ++value_; }
-    void reset() { value_ = 0; }
-    std::uint64_t value() const { return value_; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
-
-/** Running mean of a sampled quantity. */
-class Average
-{
-  public:
-    void
-    sample(double v)
-    {
-        sum_ += v;
-        ++count_;
-    }
-
-    void
-    reset()
-    {
-        sum_ = 0.0;
-        count_ = 0;
-    }
-
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-
-    double
-    mean() const
-    {
-        return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-    }
-
-  private:
-    double sum_ = 0.0;
-    std::uint64_t count_ = 0;
-};
-
-/** Log2-bucketed histogram; bucket i holds samples in [2^i, 2^(i+1)). */
-class Histogram
-{
-  public:
-    static constexpr int kBuckets = 40;
-
-    void sample(std::uint64_t v);
-    void reset();
-    std::uint64_t count() const { return count_; }
-    std::uint64_t bucket(int i) const { return buckets_[i]; }
-
-    /** Smallest value v such that at least fraction q of samples <= v. */
-    std::uint64_t percentileUpperBound(double q) const;
-
-  private:
-    std::uint64_t buckets_[kBuckets] = {};
-    std::uint64_t count_ = 0;
-};
-
-/**
- * Named collection of statistics.  Statistics register themselves by
- * name; the group renders and resets them together.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    Counter &counter(const std::string &name) { return counters_[name]; }
-    Average &average(const std::string &name) { return averages_[name]; }
-
-    /** Reset every statistic (used at the warm-up boundary). */
-    void reset();
-
-    /** Render "group.stat value" lines. */
-    std::string render() const;
-
-    const std::string &name() const { return name_; }
-
-  private:
-    std::string name_;
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, Average> averages_;
-};
 
 /** Geometric mean of a vector of positive values; 0 if empty. */
 double geomean(const std::vector<double> &values);

@@ -11,7 +11,7 @@
  * can only be called with m held, and a forgotten unlock is a
  * compile error.  Off clang (gcc builds) the attribute macros expand
  * to nothing and the wrappers are exactly std::mutex /
- * std::condition_variable with zero added cost — the annotations are
+ * std::lock_guard with zero added cost — the annotations are
  * compile-time only and never change behaviour.
  *
  * The strict build is wired in the top-level CMakeLists: with a clang
@@ -38,7 +38,6 @@
 #ifndef BEAR_COMMON_SYNC_HH
 #define BEAR_COMMON_SYNC_HH
 
-#include <condition_variable>
 #include <mutex>
 #include <utility>
 
@@ -70,7 +69,6 @@
 namespace bear
 {
 
-class CondVar;
 class MutexLock;
 
 /** std::mutex as a named capability the analysis can track. */
@@ -93,7 +91,6 @@ class CAPABILITY("mutex") Mutex
 /**
  * RAII lock over a Mutex: the only way the simulator takes a lock
  * (there is deliberately no std::lock_guard user outside this file).
- * Internally a std::unique_lock so CondVar can wait on it.
  */
 class SCOPED_CAPABILITY MutexLock
 {
@@ -109,36 +106,7 @@ class SCOPED_CAPABILITY MutexLock
     MutexLock &operator=(const MutexLock &) = delete;
 
   private:
-    friend class CondVar;
-    std::unique_lock<std::mutex> lock_;
-};
-
-/**
- * Condition variable bound to MutexLock.  The thread-safety analysis
- * treats the associated mutex as held across a wait (the transient
- * release inside wait is invisible to callers, which is exactly the
- * guarantee a condition wait gives: the predicate is only examined
- * with the lock held).
- */
-class CondVar
-{
-  public:
-    CondVar() = default;
-    CondVar(const CondVar &) = delete;
-    CondVar &operator=(const CondVar &) = delete;
-
-    void notifyOne() { cv_.notify_one(); }
-    void notifyAll() { cv_.notify_all(); }
-
-    template <typename Predicate>
-    void
-    wait(MutexLock &lock, Predicate pred)
-    {
-        cv_.wait(lock.lock_, std::move(pred));
-    }
-
-  private:
-    std::condition_variable cv_;
+    std::lock_guard<std::mutex> lock_;
 };
 
 /**

@@ -3,7 +3,7 @@
  * The memory-reference record exchanged between workload generators
  * and the core model.
  *
- * The simulator is trace-driven at the L2-miss level (LLC mode): each
+ * The simulator is trace-driven at the L2-miss level: each
  * record is one reference that reaches the shared L3, annotated with
  * the number of instructions the core executed since the previous
  * reference, the PC of the issuing instruction (for the MAP-I

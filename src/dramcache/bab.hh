@@ -26,7 +26,12 @@
 namespace bear
 {
 
-/** Tuning knobs for BAB (paper defaults). */
+/**
+ * Tuning knobs for BAB.  Every named design in every run, paper-scale
+ * (BEAR_FULL) included, uses these defaults: no RunnerOptions field or
+ * BEAR_* knob reaches them, and only bench/ablation_bab's retention
+ * sweep overrides one.
+ */
 struct BabConfig
 {
     double bypassProbability = 0.9;
@@ -35,18 +40,17 @@ struct BabConfig
      * uses 15/16; the default here is 7/8 because scaled runs inflate
      * the PB monitor's transient miss rate (a bypassed line's refill
      * delay is a larger fraction of a short run), so the monitor
-     * over-estimates PB's steady-state cost.  BEAR_FULL runs restore
-     * the paper value via RunnerOptions.
+     * over-estimates PB's steady-state cost.
      */
     double hitRateRetention = 7.0 / 8.0;
     /** One in this many sets belongs to each sampling monitor. */
     std::uint32_t samplingRatio = 32;
     /**
      * Access-counter saturation point.  The paper uses 16-bit counters
-     * on 1-billion-instruction runs; the default here re-evaluates the
-     * mode every 4096 monitor accesses so that the dueling adapts at
-     * the same rate *relative to run length* on scaled runs (BEAR_FULL
-     * runs can restore 0xFFFF).
+     * (0xFFFF) on 1-billion-instruction runs; the default here
+     * re-evaluates the mode every 4096 monitor accesses so that the
+     * dueling adapts at the same rate *relative to run length* on
+     * scaled runs.
      */
     std::uint16_t counterMax = 4096;
 };

@@ -1,7 +1,5 @@
 #include "dramcache/bloat.hh"
 
-#include <sstream>
-
 #include "common/log.hh"
 
 namespace bear
@@ -61,21 +59,6 @@ BloatTracker::reset()
 {
     bytes_.fill(Bytes{0});
     useful_bytes_ = Bytes{0};
-}
-
-std::string
-BloatTracker::render() const
-{
-    std::ostringstream os;
-    for (std::size_t i = 0; i < kCategories; ++i) {
-        const auto c = static_cast<BloatCategory>(i);
-        if (bytes(c) == Bytes{0})
-            continue;
-        os << bloatCategoryName(c) << ": " << categoryFactor(c) << "x ("
-           << bytes(c) << " bytes)\n";
-    }
-    os << "BloatFactor: " << bloatFactor() << "x\n";
-    return os.str();
 }
 
 } // namespace bear

@@ -16,7 +16,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 
 #include "common/types.hh"
 
@@ -90,9 +89,6 @@ class BloatTracker
     double categoryFactor(BloatCategory category) const;
 
     void reset();
-
-    /** Multi-line textual breakdown for reports. */
-    std::string render() const;
 
   private:
     std::array<Bytes, kCategories> bytes_{};

@@ -210,7 +210,6 @@ DramChannel::service(Cycle at, std::uint32_t bank_idx, std::uint64_t row,
 
     if (account_bytes)
         bytes_transferred_ += volume;
-    bus_busy_cycles_ += burst;
     // Branch-free hit accounting: row_hit contributes 0 or 1.
     row_hits_ += static_cast<std::uint64_t>(row_hit);
     counters.rowHits += static_cast<std::uint64_t>(row_hit);
@@ -242,11 +241,7 @@ DramChannel::read(Cycle at, std::uint32_t bank, std::uint64_t row,
     ++reads_;
     ++bank_stats_[bank].reads;
     const DramResult result = service(at, bank, row, volume);
-    // One sample path: the histograms carry the exact sum and count,
-    // so their mean() IS the legacy scalar average — the old parallel
-    // Average members were pure double bookkeeping.
     queue_delay_hist_.sample(Cycles{result.queueDelay});
-    read_latency_hist_.sample(Cycles{result.dataReady - at});
     return result;
 }
 
@@ -317,10 +312,8 @@ DramChannel::resetStats()
     reads_ = 0;
     writes_ = 0;
     row_hits_ = 0;
-    bus_busy_cycles_ = 0;
     for (auto &b : bank_stats_)
         b = BankCounters{};
-    read_latency_hist_.reset();
     queue_delay_hist_.reset();
     write_queue_depth_hist_.reset();
     activity_start_ = ~Cycle{0};

@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/dram_config.hh"
 #include "obs/event_trace.hh"
@@ -171,12 +170,9 @@ class DramChannel
     }
 
     Bytes bytesTransferred() const { return bytes_transferred_; }
-    double avgReadQueueDelay() const { return queue_delay_hist_.mean(); }
-    double avgReadLatency() const { return read_latency_hist_.mean(); }
     std::uint64_t readCount() const { return reads_; }
     std::uint64_t writeCount() const { return writes_; }
     std::uint64_t rowHitCount() const { return row_hits_; }
-    std::uint64_t busBusyCycles() const { return bus_busy_cycles_; }
     std::size_t writeQueueDepth() const { return wq_tail_ - wq_head_; }
 
     /** Fixed write-ring capacity (power of two covering the backstop
@@ -188,15 +184,6 @@ class DramChannel
     bankCounters(std::uint32_t bank) const
     {
         return bank_stats_[bank];
-    }
-
-    /** Read service-latency distribution (arrival to last data beat).
-     *  Also the source of avgReadLatency(): the histogram's exact mean
-     *  replaces the legacy double-sampled scalar Average. */
-    const obs::LatencyHistogram &
-    readLatencyHistogram() const
-    {
-        return read_latency_hist_;
     }
 
     /** Read queueing-delay distribution (bank/bus contention time). */
@@ -293,10 +280,8 @@ class DramChannel
     std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;
     std::uint64_t row_hits_ = 0;
-    std::uint64_t bus_busy_cycles_ = 0;
 
     std::vector<BankCounters> bank_stats_;
-    obs::LatencyHistogram read_latency_hist_;
     obs::LatencyHistogram queue_delay_hist_;
     obs::DepthHistogram write_queue_depth_hist_;
     Cycle activity_start_ = ~Cycle{0};

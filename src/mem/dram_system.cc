@@ -88,15 +88,6 @@ DramSystem::totalWrites() const
     return total;
 }
 
-std::uint64_t
-DramSystem::totalBusBusyCycles() const
-{
-    std::uint64_t total = 0;
-    for (const auto &c : channels_)
-        total += c.busBusyCycles();
-    return total;
-}
-
 std::vector<BankUtilization>
 DramSystem::bankUtilization() const
 {
@@ -133,15 +124,6 @@ DramSystem::bankUtilization() const
         }
     }
     return out;
-}
-
-obs::LatencyHistogram
-DramSystem::readLatencyHistogram() const
-{
-    obs::LatencyHistogram merged;
-    for (const auto &c : channels_)
-        merged.merge(c.readLatencyHistogram());
-    return merged;
 }
 
 obs::LatencyHistogram

@@ -103,33 +103,6 @@ class DramSystem
     std::uint64_t totalRowHits() const;
     std::uint64_t totalReads() const;
     std::uint64_t totalWrites() const;
-    std::uint64_t totalBusBusyCycles() const;
-
-    /** Per-channel averages for diagnostics. */
-    double
-    avgReadQueueDelay() const
-    {
-        double sum = 0.0;
-        std::uint64_t n = 0;
-        for (const auto &c : channels_) {
-            sum += c.avgReadQueueDelay()
-                * static_cast<double>(c.readCount());
-            n += c.readCount();
-        }
-        return n ? sum / static_cast<double>(n) : 0.0;
-    }
-
-    double
-    avgReadLatency() const
-    {
-        double sum = 0.0;
-        std::uint64_t n = 0;
-        for (const auto &c : channels_) {
-            sum += c.avgReadLatency() * static_cast<double>(c.readCount());
-            n += c.readCount();
-        }
-        return n ? sum / static_cast<double>(n) : 0.0;
-    }
 
     /**
      * Per-bank activity snapshot since the last resetStats(), with
@@ -138,9 +111,6 @@ class DramSystem
      * channel * banksPerChannel + bank).
      */
     std::vector<BankUtilization> bankUtilization() const;
-
-    /** Read service-latency distribution, merged over channels. */
-    obs::LatencyHistogram readLatencyHistogram() const;
 
     /** Read queueing-delay distribution, merged over channels. */
     obs::LatencyHistogram queueDelayHistogram() const;

@@ -8,9 +8,9 @@
  * exactly the effects BEAR exists to fix.  Histogram<Unit> records a
  * full log2-bucketed distribution of any strong-typed quantity from
  * common/units.hh (Cycles, Bytes, Count, ...) while still tracking the
- * exact sum and count, so mean() equals the legacy scalar average bit
- * for bit: adding a histogram observes a quantity without perturbing
- * the statistic it replaces.
+ * exact sum and count, so mean() is the exact scalar average: the
+ * report's mean latencies are read off the same histograms as their
+ * percentiles.
  *
  * The dimension discipline of units.hh extends here: sample() accepts
  * only the histogram's own unit, so `Histogram<Cycles>` rejects a
@@ -89,8 +89,7 @@ class Histogram
     Unit max() const { return Unit{max_}; }
     rep bucketCount(int i) const { return buckets_[i]; }
 
-    /** Exact mean of the raw samples (0 when empty); matches the
-     *  legacy Average-based scalar statistics by construction. */
+    /** Exact mean of the raw samples (0 when empty). */
     double
     mean() const
     {

@@ -1,7 +1,6 @@
 #include "sim/metrics.hh"
 
 #include "common/log.hh"
-#include "common/stats.hh"
 
 namespace bear
 {
@@ -36,12 +35,6 @@ normalizedSpeedup(const RunResult &baseline, const RunResult &config)
     if (config.isMix)
         return weightedSpeedup(config) / weightedSpeedup(baseline);
     return rateSpeedup(baseline, config);
-}
-
-double
-aggregateSpeedup(const std::vector<double> &speedups)
-{
-    return geomean(speedups);
 }
 
 } // namespace bear

@@ -1,11 +1,12 @@
 /**
  * @file
- * Figures of merit (paper Section 3.3-3.4) and aggregation helpers.
+ * Figures of merit (paper Section 3.3-3.4).
  *
  * Rate-mode performance is total execution time; mixed workloads use
  * weighted speedup (Equation 2).  Averages across workload sets are
- * geometric means.  All "speedup" numbers reported by the benches are
- * ratios against a named baseline run of the same workload.
+ * geometric means (common/stats.hh).  All "speedup" numbers reported
+ * by the benches are ratios against a named baseline run of the same
+ * workload.
  */
 
 #ifndef BEAR_SIM_METRICS_HH
@@ -42,9 +43,6 @@ double weightedSpeedup(const RunResult &run);
  */
 double normalizedSpeedup(const RunResult &baseline,
                          const RunResult &config);
-
-/** Geometric mean of per-workload speedups. */
-double aggregateSpeedup(const std::vector<double> &speedups);
 
 } // namespace bear
 

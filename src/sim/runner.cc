@@ -686,21 +686,6 @@ Runner::tryIpcAlone(const std::string &benchmark)
     }
 }
 
-double
-Runner::ipcAlone(const std::string &benchmark)
-{
-    auto outcome = tryIpcAlone(benchmark);
-    if (!outcome.hasValue()) {
-        const RunError &err = outcome.error();
-        if (err.kind == RunErrorKind::Interrupted) {
-            bear_inform("interrupted: ", err.message());
-            std::exit(130);
-        }
-        bear_fatal(err.message());
-    }
-    return *outcome;
-}
-
 std::vector<RunOutcome>
 Runner::runAll(const std::vector<RunJob> &jobs)
 {

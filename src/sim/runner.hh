@@ -238,10 +238,8 @@ class Runner
     [[nodiscard]] std::vector<RunOutcome>
     runAll(const std::vector<RunJob> &jobs);
 
-    /** Memoised IPC_alone of @p benchmark on the baseline system. */
-    double ipcAlone(const std::string &benchmark);
-
-    /** ipcAlone(), containing any failure as a RunError. */
+    /** Memoised IPC_alone of @p benchmark on the baseline system,
+     *  containing any failure as a RunError. */
     [[nodiscard]] Expected<double, RunError>
     tryIpcAlone(const std::string &benchmark);
 

@@ -43,8 +43,6 @@ System::System(const SystemConfig &config,
                                                 makeMemoryGeometry());
 
     HierarchyConfig hier;
-    hier.modelL1L2 = config.modelL1L2;
-    hier.cores = config.cores;
     hier.l3.capacityBytes = scaleBytes(Bytes{config.llcCapacityBytes},
                                        config.scale)
                                 .count();
@@ -61,6 +59,7 @@ System::System(const SystemConfig &config,
         AlloyConfig alloy = *config.alloyOverride;
         alloy.capacityBytes = params.capacityBytes;
         alloy.cores = params.cores;
+        alloy.seed = params.seed;
         inclusive = alloy.inclusive;
         dram_cache_ = std::make_unique<AlloyCache>(
             alloy, *cache_dram_, *main_memory_, bloat_);

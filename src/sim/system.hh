@@ -59,7 +59,6 @@ struct SystemConfig
 
     double baseCpi = 0.5;
     std::uint64_t seed = 0x5EED;
-    bool modelL1L2 = false;
 
     /**
      * Event-trace ring capacity; 0 (the default) disables tracing
@@ -70,8 +69,9 @@ struct SystemConfig
 
     /**
      * Ablation hook: build the L4 from this Alloy-family configuration
-     * instead of the named design (capacity and core count are still
-     * taken from the fields above).
+     * instead of the named design (capacity, core count and seed are
+     * still taken from the fields above, as makeAlloyConfig takes them
+     * for the named designs).
      */
     std::optional<AlloyConfig> alloyOverride;
 

@@ -11,7 +11,6 @@ namespace
 struct Counter
 {
     bear::Mutex mutex;
-    bear::CondVar changed;
     int value GUARDED_BY(mutex) = 0;
 
     void
@@ -19,7 +18,6 @@ struct Counter
     {
         bear::MutexLock lock(mutex);
         ++value;
-        changed.notifyAll();
     }
 
     int

@@ -63,16 +63,6 @@ TEST(BloatTracker, ResetClears)
     EXPECT_EQ(t.usefulBytes(), Bytes{0});
 }
 
-TEST(BloatTracker, RenderMentionsNonzeroCategories)
-{
-    BloatTracker t;
-    t.note(BloatCategory::MissProbe, kTadTransfer);
-    t.noteUseful();
-    const std::string text = t.render();
-    EXPECT_NE(text.find("MissProbe"), std::string::npos);
-    EXPECT_EQ(text.find("WbFill"), std::string::npos);
-}
-
 TEST(BloatCategoryNames, AllDistinct)
 {
     for (std::size_t i = 0; i < BloatTracker::kCategories; ++i) {

@@ -10,15 +10,9 @@ namespace
 {
 
 HierarchyConfig
-smallConfig(bool full)
+smallConfig()
 {
     HierarchyConfig config;
-    config.modelL1L2 = full;
-    config.cores = 2;
-    config.l1.capacityBytes = (4 * kLineSize).count();
-    config.l1.ways = 2;
-    config.l2.capacityBytes = (16 * kLineSize).count();
-    config.l2.ways = 4;
     config.l3.capacityBytes = (64 * kLineSize).count();
     config.l3.ways = 4;
     return config;
@@ -28,7 +22,7 @@ smallConfig(bool full)
 
 TEST(CacheHierarchy, LlcModeMissesReachL4)
 {
-    CacheHierarchy h(smallConfig(false));
+    CacheHierarchy h(smallConfig());
     const HierarchyOutcome miss = h.access(0, 100, false);
     EXPECT_TRUE(miss.llcMiss);
     EXPECT_EQ(miss.onChipLatency, h.llc().config().latency);
@@ -40,7 +34,7 @@ TEST(CacheHierarchy, LlcModeMissesReachL4)
 
 TEST(CacheHierarchy, FillReturnsDirtyVictimAsWriteback)
 {
-    HierarchyConfig config = smallConfig(false);
+    HierarchyConfig config = smallConfig();
     config.l3.capacityBytes = (2 * kLineSize).count();
     config.l3.ways = 2; // one set
     CacheHierarchy h(config);
@@ -54,7 +48,7 @@ TEST(CacheHierarchy, FillReturnsDirtyVictimAsWriteback)
 
 TEST(CacheHierarchy, CleanVictimGeneratesNoWriteback)
 {
-    HierarchyConfig config = smallConfig(false);
+    HierarchyConfig config = smallConfig();
     config.l3.capacityBytes = (2 * kLineSize).count();
     config.l3.ways = 2;
     CacheHierarchy h(config);
@@ -65,7 +59,7 @@ TEST(CacheHierarchy, CleanVictimGeneratesNoWriteback)
 
 TEST(CacheHierarchy, DramCacheEvictionClearsPresence)
 {
-    CacheHierarchy h(smallConfig(false));
+    CacheHierarchy h(smallConfig());
     h.fillLlc(100, false, true);
     EXPECT_TRUE(h.llc().presence(100));
     h.onDramCacheEviction(100);
@@ -76,10 +70,10 @@ TEST(CacheHierarchy, DramCacheEvictionClearsPresence)
 
 TEST(CacheHierarchy, BackInvalidateDropsLineEverywhere)
 {
-    CacheHierarchy h(smallConfig(true));
+    CacheHierarchy h(smallConfig());
     h.access(0, 100, false);
     h.fillLlc(100, false, true);
-    h.access(0, 100, true); // brings it into L1/L2 and dirties L1
+    h.access(0, 100, true); // L3 hit dirties the resident copy
     EXPECT_TRUE(h.backInvalidate(100));
     EXPECT_FALSE(h.llc().contains(100));
     // A fresh access misses everywhere again.
@@ -88,37 +82,14 @@ TEST(CacheHierarchy, BackInvalidateDropsLineEverywhere)
 
 TEST(CacheHierarchy, BackInvalidateCleanReturnsFalse)
 {
-    CacheHierarchy h(smallConfig(false));
+    CacheHierarchy h(smallConfig());
     h.fillLlc(100, false, true);
     EXPECT_FALSE(h.backInvalidate(100));
 }
 
-TEST(CacheHierarchy, FullModeL1HitStaysOnChip)
-{
-    CacheHierarchy h(smallConfig(true));
-    h.access(0, 100, false);     // miss everywhere
-    h.fillLlc(100, false, false); // completes the L3 fill
-    h.access(0, 100, false);     // L3 hit, refills L1/L2
-    const HierarchyOutcome o = h.access(0, 100, false);
-    EXPECT_FALSE(o.llcMiss);
-    EXPECT_EQ(o.onChipLatency, h.config().l1.latency);
-}
-
-TEST(CacheHierarchy, FullModePerCoreL1Isolation)
-{
-    CacheHierarchy h(smallConfig(true));
-    h.access(0, 100, false);
-    h.fillLlc(100, false, false);
-    h.access(0, 100, false); // core 0 caches it in its L1/L2
-    // Core 1 misses its private levels but hits the shared L3.
-    const HierarchyOutcome o = h.access(1, 100, false);
-    EXPECT_FALSE(o.llcMiss);
-    EXPECT_GT(o.onChipLatency, h.config().l1.latency);
-}
-
 TEST(CacheHierarchy, StatsReset)
 {
-    CacheHierarchy h(smallConfig(false));
+    CacheHierarchy h(smallConfig());
     h.access(0, 1, false);
     h.resetStats();
     EXPECT_EQ(h.llc().misses(), 0u);

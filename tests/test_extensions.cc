@@ -7,13 +7,32 @@
 #include <gtest/gtest.h>
 
 #include "dramcache/alloy_cache.hh"
+#include "sim/report.hh"
 #include "sim/runner.hh"
 #include "sim/system.hh"
 #include "tests/test_util.hh"
-#include "workloads/generators.hh"
+#include "workloads/workload.hh"
 
 using namespace bear;
 using test::CacheHarness;
+
+namespace
+{
+
+/** One WorkloadStream of @p benchmark per core of @p config. */
+std::vector<std::unique_ptr<RefStream>>
+workloadStreams(const char *benchmark, const SystemConfig &config)
+{
+    std::vector<std::unique_ptr<RefStream>> streams;
+    for (std::uint32_t c = 0; c < config.cores; ++c) {
+        streams.push_back(std::make_unique<WorkloadStream>(
+            profileByName(benchmark), config.seed + 0x1000 * (c + 1),
+            config.scale));
+    }
+    return streams;
+}
+
+} // namespace
 
 // -------------------------------------------------------- TadLayout
 
@@ -121,14 +140,7 @@ TEST(AlloyOverride, SystemBuildsCustomConfiguration)
     alloy.name = "CustomTTC";
     config.alloyOverride = alloy;
 
-    std::vector<std::unique_ptr<RefStream>> streams;
-    StreamParams params;
-    params.footprintLines = 1 << 16;
-    for (std::uint32_t c = 0; c < config.cores; ++c) {
-        params.seed = c + 1;
-        streams.push_back(std::make_unique<RandomStream>(params));
-    }
-    System sys(config, std::move(streams));
+    System sys(config, workloadStreams("mcf", config));
     EXPECT_EQ(sys.dramCache().name(), "CustomTTC");
     sys.run(5000);
     sys.resetStats();
@@ -144,20 +156,40 @@ TEST(AlloyOverride, InclusiveOverrideWiresBackInvalidation)
     alloy.inclusive = true;
     config.alloyOverride = alloy;
 
-    std::vector<std::unique_ptr<RefStream>> streams;
-    StreamParams params;
-    params.footprintLines = 1 << 18; // exceeds the tiny cache
-    params.writeFraction = 0.5;
-    for (std::uint32_t c = 0; c < config.cores; ++c) {
-        params.seed = c + 1;
-        streams.push_back(std::make_unique<RandomStream>(params));
-    }
-    System sys(config, std::move(streams));
+    // lbm: write-heavy, footprint far beyond the 16 MB cache.
+    System sys(config, workloadStreams("lbm", config));
     sys.run(20000);
     sys.resetStats();
     sys.run(10000);
     // Inclusion: never any Writeback Probe bandwidth.
     EXPECT_EQ(sys.bloat().bytes(BloatCategory::WritebackProbe), Bytes{0});
+}
+
+TEST(AlloyOverride, NamedDesignConfigReproducesTheNamedDesign)
+{
+    // The ablations compare overrides against the named designs, so an
+    // override equal to BEAR's own config must be BEAR, seed included:
+    // the system seeds an override as makeAlloyConfig seeds BEAR.
+    SystemConfig named;
+    named.scale = 0.015625;
+    named.design = DesignKind::Bear;
+    SystemConfig overridden = named;
+    overridden.alloyOverride =
+        makeAlloyConfig(DesignKind::Bear, DesignParams{});
+    ASSERT_NE(overridden.alloyOverride->seed, named.seed);
+
+    auto report = [](const SystemConfig &config) {
+        System sys(config, workloadStreams("mcf", config));
+        sys.run(20000);
+        sys.resetStats();
+        sys.run(10000);
+        RunResult result;
+        result.workload = "mcf";
+        result.design = sys.dramCache().name();
+        result.stats = sys.stats();
+        return runResultToJson(result);
+    };
+    EXPECT_EQ(report(named), report(overridden));
 }
 
 // --------------------------------------------------- mix-mode runs

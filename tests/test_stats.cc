@@ -1,68 +1,10 @@
-/** @file Unit tests for the statistics package. */
+/** @file Unit tests for the run-summary statistics. */
 
 #include <gtest/gtest.h>
 
 #include "common/stats.hh"
 
 using namespace bear;
-
-TEST(Counter, StartsAtZeroAndAccumulates)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    c.inc();
-    c += 4;
-    EXPECT_EQ(c.value(), 5u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Average, MeanOfSamples)
-{
-    Average a;
-    EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-    a.sample(2.0);
-    a.sample(4.0);
-    a.sample(9.0);
-    EXPECT_DOUBLE_EQ(a.mean(), 5.0);
-    EXPECT_EQ(a.count(), 3u);
-    a.reset();
-    EXPECT_EQ(a.count(), 0u);
-    EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-}
-
-TEST(Histogram, BucketsByPowerOfTwo)
-{
-    Histogram h;
-    h.sample(1);
-    h.sample(2);
-    h.sample(3);
-    h.sample(1000);
-    EXPECT_EQ(h.count(), 4u);
-    EXPECT_EQ(h.bucket(0), 1u); // value 1
-    EXPECT_EQ(h.bucket(1), 2u); // values 2, 3
-    EXPECT_EQ(h.bucket(9), 1u); // value 1000 in [512, 1024)
-}
-
-TEST(Histogram, PercentileBounds)
-{
-    Histogram h;
-    for (int i = 0; i < 90; ++i)
-        h.sample(4);
-    for (int i = 0; i < 10; ++i)
-        h.sample(4096);
-    EXPECT_LE(h.percentileUpperBound(0.5), 7u);
-    EXPECT_GE(h.percentileUpperBound(0.99), 4096u);
-}
-
-TEST(Histogram, ResetClearsEverything)
-{
-    Histogram h;
-    h.sample(5);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.bucket(2), 0u);
-}
 
 TEST(Geomean, KnownValues)
 {
@@ -76,17 +18,4 @@ TEST(Geomean, InsensitiveToOrder)
 {
     EXPECT_NEAR(geomean({1.1, 0.9, 1.3}), geomean({1.3, 1.1, 0.9}),
                 1e-12);
-}
-
-TEST(StatGroup, RendersAndResets)
-{
-    StatGroup g("test");
-    g.counter("hits") += 3;
-    g.average("lat").sample(10.0);
-    const std::string text = g.render();
-    EXPECT_NE(text.find("test.hits 3"), std::string::npos);
-    EXPECT_NE(text.find("test.lat 10"), std::string::npos);
-    g.reset();
-    EXPECT_EQ(g.counter("hits").value(), 0u);
-    EXPECT_EQ(g.average("lat").count(), 0u);
 }

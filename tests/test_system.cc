@@ -8,7 +8,6 @@
 
 #include "sim/system.hh"
 #include "tests/test_util.hh"
-#include "workloads/generators.hh"
 #include "workloads/workload.hh"
 
 using namespace bear;
@@ -141,23 +140,6 @@ TEST(SystemIntegration, MoreBandwidthNeverSlower)
     s2.resetStats();
     s2.run(20000);
     EXPECT_LE(s2.stats().execCycles, s1.stats().execCycles);
-}
-
-TEST(SystemIntegration, FullHierarchyModeRuns)
-{
-    SystemConfig config = testConfig(DesignKind::Alloy);
-    config.modelL1L2 = true;
-    System sys(config, rateStreams("xalancbmk", 8));
-    sys.run(20000);
-    sys.resetStats();
-    sys.run(10000);
-    const SystemStats s = sys.stats();
-    EXPECT_GT(s.ipcTotal, 0.0);
-    // L1/L2 capture raises on-chip hits: fewer L3 misses per kiloinst
-    // than the LLC-mode run of the same workload.
-    const SystemStats llc_mode = quickRun(DesignKind::Alloy, "xalancbmk",
-                                          20000, 10000);
-    EXPECT_LT(s.measuredMpki, llc_mode.measuredMpki + 1.0);
 }
 
 // ------------------------------------------------- invariant sweeps

@@ -610,8 +610,8 @@ TEST(TagStore, TagWidthFollowsTheOwnersBound)
 
     // The owners' bounds from the named physical-line limit: Alloy at
     // 64 MB (2^20 sets) and at 1 GB (2^24 sets), the 8 MB 16-way L3
-    // (8192 sets), and the 32 KB 8-way L1 (64 sets), which keeps the
-    // 64-bit plane.
+    // (8192 sets), and a 64-set store (the L3 at scale 1/128 and below),
+    // which keeps the 64-bit plane.
     static_assert(maxTagBelow(kPhysLineLimit, 1ULL << 20)
                   == (1ULL << 21) - 1);
     static_assert(maxTagBelow(kPhysLineLimit, 1ULL << 24)

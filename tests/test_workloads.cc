@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "workloads/generators.hh"
 #include "workloads/mixes.hh"
 #include "workloads/workload.hh"
 
@@ -129,52 +128,6 @@ TEST(Mixes, ThirtyEightTotalAllResolvable)
         for (const auto &b : mix.benchmarks)
             profileByName(b); // fatal if unknown
     }
-}
-
-TEST(Generators, SequentialWrapsCyclically)
-{
-    StreamParams params;
-    params.footprintLines = 10;
-    SequentialStream s(params);
-    for (int pass = 0; pass < 3; ++pass)
-        for (std::uint64_t l = 0; l < 10; ++l)
-            EXPECT_EQ(lineOf(s.next().vaddr), l);
-}
-
-TEST(Generators, RandomStaysInFootprint)
-{
-    StreamParams params;
-    params.footprintLines = 977;
-    RandomStream s(params);
-    for (int i = 0; i < 10000; ++i)
-        EXPECT_LT(lineOf(s.next().vaddr), 977u);
-}
-
-TEST(Generators, PointerChaseVisitsEveryLineOnce)
-{
-    StreamParams params;
-    params.footprintLines = 256;
-    PointerChaseStream s(params);
-    std::set<LineAddr> seen;
-    for (int i = 0; i < 256; ++i) {
-        const MemRef ref = s.next();
-        EXPECT_TRUE(ref.dependent);
-        EXPECT_TRUE(seen.insert(lineOf(ref.vaddr)).second);
-    }
-    EXPECT_EQ(seen.size(), 256u); // a single full cycle
-}
-
-TEST(Generators, VectorStreamReplays)
-{
-    std::vector<MemRef> refs(3);
-    refs[0].vaddr = 64;
-    refs[1].vaddr = 128;
-    refs[2].vaddr = 192;
-    VectorStream s(refs);
-    EXPECT_EQ(s.next().vaddr, 64u);
-    EXPECT_EQ(s.next().vaddr, 128u);
-    EXPECT_EQ(s.next().vaddr, 192u);
-    EXPECT_EQ(s.next().vaddr, 64u); // wraps
 }
 
 namespace

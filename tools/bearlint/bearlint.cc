@@ -92,7 +92,7 @@ const RuleInfo kRules[] = {
      "common/units.hh / common/types.hh"},
     {"BL003", "naked-mutex",
      "std::mutex/condition_variable/lock_guard family outside "
-     "common/sync.hh (use bear::Mutex/MutexLock/CondVar)"},
+     "common/sync.hh (use bear::Mutex/MutexLock)"},
     {"BL004", "nondeterminism",
      "wall-clock or ambient randomness (use the seeded Rng)"},
     {"BL005", "include-hygiene",
@@ -587,7 +587,7 @@ checkNakedMutex(const FileData &fd, Reporter &out)
             out.report(fd, t[i].line, "BL003",
                        "naked std::" + t[i + 2].text
                            + " outside common/sync.hh; use "
-                             "bear::Mutex/MutexLock/CondVar/OnceFlag");
+                             "bear::Mutex/MutexLock/OnceFlag");
         }
     }
     for (const PpLine &pp : fd.pp) {
